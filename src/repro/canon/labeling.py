@@ -34,6 +34,19 @@ the labeling degrades to a deterministic identifier-sorted fallback that is
 still *sound* (only literally identical structures share a key) but no
 longer merges every isomorphic pair.
 
+**Discrete short-circuit.**  When the stable colouring is already discrete
+(every node its own colour, as on generic-weight instances), it *is* the
+canonical labelling: the search would explore that single leaf and return
+it.  Refinement is isomorphism-invariant, so every view isomorphic to a
+discrete one is discrete too, with corresponding nodes in corresponding
+colours, and serialises to the same bytes.  "Discrete colouring if there is
+one, search otherwise" is therefore still a function of the isomorphism
+class, and it reproduces the searched labelling exactly, so keys are
+unchanged (``CANON_FORMAT_VERSION`` stays).  :class:`CanonicalIndex` takes
+this path before any search, registration or memo work, and
+:class:`repro.views.ViewAtlas` takes it for many views at once; both build
+the form through the one helper :func:`_form_from_canonical`.
+
 Determinism contract: the result depends only on the *set* of agents and
 coefficient entries handed in — not on their iteration order, not on the
 identifier values (except in the explicitly literal fallback), and not on
@@ -417,21 +430,16 @@ class _Canonicalizer:
         best = candidates[np.lexsort((candidates, sizes))[0]]
         return np.flatnonzero(colors == best)
 
-    def _form_bytes(self, colors: np.ndarray) -> bytes:
-        """Serialise the relabelled structure under a discrete colouring."""
+    def relabelled(self, colors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Coefficient triples under a discrete colouring, in canonical order.
+
+        Returns ``(cons, bens)``: int64 arrays of ``(row position, agent
+        position, weight id)`` rows sorted by ``(row, agent)`` -- the layout
+        :func:`_form_from_canonical` serialises.
+        """
         a_pos = colors
         res_pos = colors - self.n_agents
         ben_pos = colors - self.n_agents - self.n_resources
-        header = np.asarray(
-            [
-                CANON_FORMAT_VERSION,
-                self.n_agents,
-                self.n_resources,
-                self.n_beneficiaries,
-                len(self.weight_table),
-            ],
-            dtype=np.int64,
-        )
         cons = np.column_stack(
             (
                 res_pos[self.n_agents + self.edge_res],
@@ -450,13 +458,13 @@ class _Canonicalizer:
             cons = cons[np.lexsort((cons[:, 1], cons[:, 0]))]
         if bens.size:
             bens = bens[np.lexsort((bens[:, 1], bens[:, 0]))]
-        return b"".join(
-            (
-                header.tobytes(),
-                self.weight_table.tobytes(),
-                cons.astype(np.int64, copy=False).tobytes(),
-                bens.astype(np.int64, copy=False).tobytes(),
-            )
+        return cons, bens
+
+    def _form_bytes(self, colors: np.ndarray) -> bytes:
+        """Serialise the relabelled structure under a discrete colouring."""
+        return _serialise_form(
+            self.n_agents, self.n_resources, self.n_beneficiaries,
+            self.weight_table, *self.relabelled(colors),
         )
 
     def _individualize(self, colors: np.ndarray, v: int) -> np.ndarray:
@@ -464,11 +472,11 @@ class _Canonicalizer:
         out[v] -= 1
         return out
 
-    def search(self) -> Tuple[bytes, np.ndarray]:
-        """Full canonical labeling: (minimal form bytes, node -> position)."""
+    def search(self) -> np.ndarray:
+        """Full canonical labeling: node -> position of the minimal form."""
         return self.search_from(self.refine(self.initial_colors()))
 
-    def search_from(self, stable: np.ndarray) -> Tuple[bytes, np.ndarray]:
+    def search_from(self, stable: np.ndarray) -> np.ndarray:
         """Canonical labeling starting from a pre-computed stable colouring."""
         self._auto = _UnionFind(self.n_nodes)
         self._best_form: Optional[bytes] = None
@@ -476,7 +484,7 @@ class _Canonicalizer:
         self._nodes_left = self.budget
         self._search_from(stable)
         assert self._best_form is not None and self._best_colors is not None
-        return self._best_form, self._best_colors
+        return self._best_colors
 
     def _search_from(self, colors: np.ndarray) -> None:
         cell = self._target_cell(colors)
@@ -546,74 +554,130 @@ def _build_canonicalizer(
     return canonicalizer, agent_list, resource_list, beneficiary_list
 
 
-def _assemble_form(
-    canonicalizer: _Canonicalizer,
-    agent_list: Sequence[Agent],
-    resource_list: Sequence[Resource],
-    beneficiary_list: Sequence[Beneficiary],
-    form_bytes: bytes,
-    positions: np.ndarray,
-    exact: bool,
+def _serialise_form(
+    n_agents: int,
+    n_resources: int,
+    n_beneficiaries: int,
+    weight_table: np.ndarray,
+    cons: np.ndarray,
+    bens: np.ndarray,
+) -> bytes:
+    """The byte string a canonical key hashes: header, weights, triples."""
+    header = np.asarray(
+        [
+            CANON_FORMAT_VERSION,
+            n_agents,
+            n_resources,
+            n_beneficiaries,
+            len(weight_table),
+        ],
+        dtype=np.int64,
+    )
+    return b"".join(
+        (
+            header.tobytes(),
+            weight_table.tobytes(),
+            cons.astype(np.int64, copy=False).tobytes(),
+            bens.astype(np.int64, copy=False).tobytes(),
+        )
+    )
+
+
+def _form_from_canonical(
+    agent_order: Sequence[Agent],
+    resource_order: Sequence[Resource],
+    beneficiary_order: Sequence[Beneficiary],
+    weight_table: np.ndarray,
+    cons: np.ndarray,
+    bens: np.ndarray,
+    exact: bool = True,
 ) -> CanonicalForm:
-    """Turn a discrete labeling into the public :class:`CanonicalForm`."""
-    n_a, n_r = canonicalizer.n_agents, canonicalizer.n_resources
-    agent_order: List[Agent] = [None] * n_a  # type: ignore[list-item]
-    for idx, agent in enumerate(agent_list):
-        agent_order[int(positions[idx])] = agent
-    resource_order: List[Resource] = [None] * n_r  # type: ignore[list-item]
-    for idx, resource in enumerate(resource_list):
-        resource_order[int(positions[n_a + idx]) - n_a] = resource
-    beneficiary_order: List[Beneficiary] = [None] * len(beneficiary_list)  # type: ignore[list-item]
-    for idx, beneficiary in enumerate(beneficiary_list):
-        beneficiary_order[int(positions[n_a + n_r + idx]) - n_a - n_r] = beneficiary
+    """Build the public :class:`CanonicalForm` from a relabelled structure.
 
-    weight_table = canonicalizer.weight_table
-    consumption_canonical = tuple(
-        sorted(
-            (
-                int(positions[n_a + r]) - n_a,
-                int(positions[a]),
-                float(weight_table[w]) if weight_table.size else 0.0,
-            )
-            for r, a, w in zip(
-                canonicalizer.edge_res,
-                canonicalizer.edge_res_agent,
-                canonicalizer.edge_res_wid,
-            )
-        )
+    ``cons`` / ``bens`` are the ``(row position, agent position, weight id)``
+    triples sorted by ``(row, agent)`` (:meth:`_Canonicalizer.relabelled`);
+    the orders list identifiers by canonical position.  This is the single
+    definition of a form given its labelling: the searched, the discrete and
+    the literal-fallback labellings all end here, and so does the batch
+    discrete path of :class:`repro.views.ViewAtlas`.
+    """
+    form_bytes = _serialise_form(
+        len(agent_order), len(resource_order), len(beneficiary_order),
+        weight_table, cons, bens,
     )
-    benefit_canonical = tuple(
-        sorted(
-            (
-                int(positions[n_a + n_r + k]) - n_a - n_r,
-                int(positions[a]),
-                float(weight_table[w]) if weight_table.size else 0.0,
-            )
-            for k, a, w in zip(
-                canonicalizer.edge_ben,
-                canonicalizer.edge_ben_agent,
-                canonicalizer.edge_ben_wid,
-            )
-        )
-    )
-
-    tag = b"exact:" if exact else b"literal:"
-    digest = sha256(tag)
+    digest = sha256(b"exact:" if exact else b"literal:")
     digest.update(form_bytes)
     if not exact:
         # Literal keys must separate structures that merely *index*
-        # identically: include the identifiers themselves.
-        digest.update(repr((list(agent_list), list(resource_list),
-                            list(beneficiary_list))).encode())
+        # identically: include the identifiers themselves (the literal
+        # labelling is the identity, so the orders are the sorted lists).
+        digest.update(repr((list(agent_order), list(resource_order),
+                            list(beneficiary_order))).encode())
     return CanonicalForm(
         key=digest.hexdigest(),
         agent_order=tuple(agent_order),
         resource_order=tuple(resource_order),
         beneficiary_order=tuple(beneficiary_order),
-        consumption=consumption_canonical,
-        benefit=benefit_canonical,
+        consumption=_value_triples(cons, weight_table),
+        benefit=_value_triples(bens, weight_table),
         exact=exact,
     )
+
+
+def _value_triples(
+    triples: np.ndarray, weight_table: np.ndarray
+) -> Tuple[Tuple[int, int, float], ...]:
+    """``(row, agent, weight id)`` rows as ``(row, agent, value)`` tuples."""
+    return tuple(
+        zip(
+            triples[:, 0].tolist(),
+            triples[:, 1].tolist(),
+            weight_table[triples[:, 2]].tolist(),
+        )
+    )
+
+
+def _orders(
+    agent_list: Sequence[Agent],
+    resource_list: Sequence[Resource],
+    beneficiary_list: Sequence[Beneficiary],
+    positions: np.ndarray,
+) -> Tuple[Tuple[Agent, ...], Tuple[Resource, ...], Tuple[Beneficiary, ...]]:
+    """Identifiers listed by canonical position under a node -> position map."""
+    n_a, n_r = len(agent_list), len(resource_list)
+    pos = positions.tolist()
+    agent_order: List[Agent] = [None] * n_a  # type: ignore[list-item]
+    for idx, agent in enumerate(agent_list):
+        agent_order[pos[idx]] = agent
+    resource_order: List[Resource] = [None] * n_r  # type: ignore[list-item]
+    for idx, resource in enumerate(resource_list):
+        resource_order[pos[n_a + idx] - n_a] = resource
+    beneficiary_order: List[Beneficiary] = [None] * len(beneficiary_list)  # type: ignore[list-item]
+    for idx, beneficiary in enumerate(beneficiary_list):
+        beneficiary_order[pos[n_a + n_r + idx] - n_a - n_r] = beneficiary
+    return tuple(agent_order), tuple(resource_order), tuple(beneficiary_order)
+
+
+def _assemble_form(
+    canonicalizer: _Canonicalizer,
+    agent_list: Sequence[Agent],
+    resource_list: Sequence[Resource],
+    beneficiary_list: Sequence[Beneficiary],
+    positions: np.ndarray,
+    exact: bool,
+) -> CanonicalForm:
+    """Turn a discrete labeling into the public :class:`CanonicalForm`."""
+    return _form_from_canonical(
+        *_orders(agent_list, resource_list, beneficiary_list, positions),
+        canonicalizer.weight_table,
+        *canonicalizer.relabelled(positions),
+        exact=exact,
+    )
+
+
+def _is_discrete(colors: np.ndarray) -> bool:
+    """Whether a compact colouring gives every node its own colour."""
+    return colors.size == 0 or int(colors.max()) + 1 == colors.size
 
 
 def canonicalize_local_lp(
@@ -647,15 +711,13 @@ def canonicalize_local_lp(
         agents, consumption, benefit, branch_budget
     )
     try:
-        form_bytes, colors = canonicalizer.search()
+        colors = canonicalizer.search()
         exact = True
     except _BudgetExhausted:
         colors = canonicalizer.literal_colors()
-        form_bytes = canonicalizer._form_bytes(colors)
         exact = False
     return _assemble_form(
-        canonicalizer, agent_list, resource_list, beneficiary_list,
-        form_bytes, colors, exact,
+        canonicalizer, agent_list, resource_list, beneficiary_list, colors, exact
     )
 
 
@@ -688,6 +750,13 @@ class CanonicalIndex:
     orbit planner therefore stay bit-for-bit interchangeable even though
     each keeps its own index.
 
+    A view whose stable colouring is discrete never reaches the matcher:
+    its colouring is its canonical labelling (see the module docstring),
+    and since only discrete views can be isomorphic to it, it is neither
+    searched, registered nor memoised -- counted under ``stats["discrete"]``.
+    Every isomorphic view takes the same path and gets the same form, so
+    the result remains a function of the isomorphism class.
+
     The index is an unguarded pure cache: concurrent use from several
     threads can at worst duplicate work or register a redundant equal-key
     entry (slowing later matches), never change a labeling — every result
@@ -714,7 +783,9 @@ class CanonicalIndex:
         # a fresh computation would.  Exact forms only — literal-fallback
         # keys embed identifiers and must stay per-view.
         self._structure_memo: Dict[Tuple, Tuple[np.ndarray, CanonicalForm]] = {}
-        self.stats = {"searched": 0, "matched": 0, "literal": 0, "memoized": 0}
+        self.stats = {
+            "discrete": 0, "searched": 0, "matched": 0, "literal": 0, "memoized": 0,
+        }
 
     # ------------------------------------------------------------------
     def canonical_form(
@@ -836,6 +907,18 @@ class CanonicalIndex:
             )
         if stable is None:
             stable = canonicalizer.refine(canonicalizer.initial_colors())
+        if _is_discrete(stable):
+            # Refinement alone labelled the view: that labelling is the
+            # canonical one, and only another discrete view can share its
+            # class, so nothing is registered or memoised for it.
+            self.stats["discrete"] += 1
+            return (
+                _assemble_form(
+                    canonicalizer, agent_list, resource_list, beneficiary_list,
+                    stable, True,
+                ),
+                stable,
+            )
         invariant = self._invariant_key(canonicalizer, stable)
         for registered in self._classes.get(invariant, ()):
             positions = self._match(canonicalizer, stable, registered)
@@ -851,22 +934,21 @@ class CanonicalIndex:
                 )
         try:
             with span("canon.search", nodes=int(stable.size)):
-                form_bytes, colors = canonicalizer.search_from(stable)
+                colors = canonicalizer.search_from(stable)
         except _BudgetExhausted:
             colors = canonicalizer.literal_colors()
-            form_bytes = canonicalizer._form_bytes(colors)
             self.stats["literal"] += 1
             return (
                 _assemble_form(
                     canonicalizer, agent_list, resource_list, beneficiary_list,
-                    form_bytes, colors, False,
+                    colors, False,
                 ),
                 colors,
             )
         self.stats["searched"] += 1
         form = _assemble_form(
             canonicalizer, agent_list, resource_list, beneficiary_list,
-            form_bytes, colors, True,
+            colors, True,
         )
         registered = self._register(
             invariant, canonicalizer, stable, colors, form
@@ -897,22 +979,14 @@ class CanonicalIndex:
         positions: np.ndarray,
     ) -> CanonicalForm:
         """A member's form: the class content with the member's own orders."""
-        n_a, n_r = len(agent_list), len(resource_list)
-        pos = positions.tolist()
-        agent_order: List[Agent] = [None] * n_a  # type: ignore[list-item]
-        for idx, agent in enumerate(agent_list):
-            agent_order[pos[idx]] = agent
-        resource_order: List[Resource] = [None] * n_r  # type: ignore[list-item]
-        for idx, resource in enumerate(resource_list):
-            resource_order[pos[n_a + idx] - n_a] = resource
-        beneficiary_order: List[Beneficiary] = [None] * len(beneficiary_list)  # type: ignore[list-item]
-        for idx, beneficiary in enumerate(beneficiary_list):
-            beneficiary_order[pos[n_a + n_r + idx] - n_a - n_r] = beneficiary
+        agent_order, resource_order, beneficiary_order = _orders(
+            agent_list, resource_list, beneficiary_list, positions
+        )
         return CanonicalForm(
             key=template.key,
-            agent_order=tuple(agent_order),
-            resource_order=tuple(resource_order),
-            beneficiary_order=tuple(beneficiary_order),
+            agent_order=agent_order,
+            resource_order=resource_order,
+            beneficiary_order=beneficiary_order,
             consumption=template.consumption,
             benefit=template.benefit,
             exact=True,

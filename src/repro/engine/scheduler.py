@@ -247,6 +247,22 @@ class RequestScheduler:
                 if self.coalesce:
                     with self._lock:
                         flight = self._flights.get(key)
+                        if (
+                            flight is None
+                            and tier is None
+                            and self.cache is not None
+                            and key in self.cache
+                        ):
+                            # An owner retires its flight only after storing
+                            # the result, so this key was solved between the
+                            # miss above and now: take the stored answer as
+                            # if attached to that flight.
+                            late = self.cache.get(key, _MISSING)
+                            if late is not _MISSING:
+                                flight = _Flight()
+                                flight.publish(late)
+                                attached.append((key, flight))
+                                continue
                         if flight is None:
                             flight = _Flight()
                             self._flights[key] = flight

@@ -93,8 +93,8 @@ class BatchSolveStats:
         Sparsity-pattern groups formed by the grouped strategy.
     warm_started / warm_rejected:
         Sibling solves started from the representative's optimal basis,
-        and siblings where that basis was not primal feasible (they run
-        cold instead).
+        and siblings where that basis was not primal feasible, or led to
+        an optimum that failed its certificate (they run cold instead).
     """
 
     batches: int = 0
@@ -300,39 +300,91 @@ def _solve_grouped_one(
         result = solve_lp(lp, backend="simplex")
         return result, None
 
-    basis = None
+    warm = None
     if warm_basis is not None:
-        B = A_std[:, warm_basis]
-        try:
-            B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            B_inv = None
-        if B_inv is not None:
-            rhs = B_inv @ b
-            if np.all(rhs >= -1e-9):
-                basis = warm_basis.copy()
-                T = B_inv @ A_std
-                rhs = np.clip(rhs, 0.0, None)
-                stats.warm_started += 1
-            else:
-                stats.warm_rejected += 1
-        else:
+        warm = _warm_solve(A_std, b, c_std, warm_basis, max_iter)
+        if warm is None:
             stats.warm_rejected += 1
-    if basis is None:
+        else:
+            stats.warm_started += 1
+    if warm is not None:
+        x_std, final_basis = warm
+    else:
         # Cold start from the all-slack basis (feasible because b >= 0).
-        basis = np.arange(n, n_std)
-        T = A_std
-        rhs = b
-    try:
-        status, x_std, final_basis = _simplex_core(T, rhs, c_std, basis, max_iter)
-    except RuntimeError:
-        return LPResult(LPStatus.ERROR, None, None, backend="simplex"), None
-    if status == "unbounded":
-        return LPResult(LPStatus.UNBOUNDED, None, None, backend="simplex"), None
+        try:
+            status, x_std, final_basis = _simplex_core(
+                A_std, b, c_std, np.arange(n, n_std), max_iter
+            )
+        except RuntimeError:
+            return LPResult(LPStatus.ERROR, None, None, backend="simplex"), None
+        if status == "unbounded":
+            return LPResult(LPStatus.UNBOUNDED, None, None, backend="simplex"), None
     x = x_std[:n]
     return (
         LPResult(LPStatus.OPTIMAL, x, float(lp.c @ x), backend="simplex"),
         final_basis,
+    )
+
+
+def _warm_solve(
+    A_std: np.ndarray,
+    b: np.ndarray,
+    c_std: np.ndarray,
+    warm_basis: np.ndarray,
+    max_iter: int,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Simplex from a sibling's basis: ``(x, basis)``, or ``None`` to run cold.
+
+    The sibling's basis is used only when it is primal feasible here, and
+    the optimum it leads to is kept only when it carries an optimality
+    certificate on this LP's own data.  A basis that is singular or badly
+    conditioned for this LP yields a meaningless tableau, whose "optimum"
+    can be infeasible, suboptimal or reported unbounded.
+    """
+    try:
+        B_inv = np.linalg.inv(A_std[:, warm_basis])
+    except np.linalg.LinAlgError:
+        return None
+    rhs = B_inv @ b
+    if not np.all(rhs >= -1e-9):
+        return None
+    try:
+        status, x_std, basis = _simplex_core(
+            B_inv @ A_std, np.clip(rhs, 0.0, None), c_std, warm_basis.copy(),
+            max_iter,
+        )
+    except RuntimeError:
+        return None
+    if status != "optimal" or not _certified_optimal(A_std, b, c_std, x_std, basis):
+        return None
+    return x_std, basis
+
+
+def _certified_optimal(
+    A_std: np.ndarray,
+    b: np.ndarray,
+    c_std: np.ndarray,
+    x_std: np.ndarray,
+    basis: np.ndarray,
+    tol: float = 1e-9,
+) -> bool:
+    """Whether ``x_std`` is optimal for ``min c x, A x = b, x >= 0``.
+
+    Checks primal feasibility, dual feasibility of the basis's multipliers
+    ``y = c_B B^-1`` and a zero duality gap, all against the original data.
+    """
+    try:
+        y = np.linalg.solve(A_std[:, basis].T, c_std[basis])
+    except np.linalg.LinAlgError:
+        return False
+    primal_scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    dual_scale = 1.0 + float(np.abs(y).max(initial=0.0))
+    objective = float(c_std @ x_std)
+    return bool(
+        x_std.min(initial=0.0) >= -tol * primal_scale
+        and np.abs(A_std @ x_std - b).max(initial=0.0) <= tol * primal_scale
+        and (c_std - y @ A_std).min(initial=0.0) >= -tol * dual_scale
+        and abs(objective - float(y @ b)) <= tol * (1.0 + abs(objective))
     )
 
 

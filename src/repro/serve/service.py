@@ -20,8 +20,9 @@ tests (and embedders) can drive it directly:
 * **observability** -- :meth:`SolverService.metrics` snapshots the request
   counters, both scheduler/cache tiers, the engine's LP counters, the canon
   index, and a process-wide HiGHS call counter
-  (:func:`repro.lp.count_highs_calls` with ``all_threads=True``) with a
-  per-scrape-window delta.
+  (:func:`repro.lp.count_highs_calls` with ``all_threads=True``).  Every
+  counter is monotone and a scrape changes no state, so any number of
+  collectors can poll it and compute their own rates.
 
 Errors callers can fix -- malformed JSON, schema violations, unknown
 families -- raise :class:`ServeRequestError` (the HTTP layer's 400); the
@@ -236,7 +237,6 @@ class SolverService:
         self._inflight_cond = threading.Condition()
         self._highs_cm = count_highs_calls(all_threads=True)
         self._highs = self._highs_cm.__enter__()
-        self._highs_last = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -672,15 +672,16 @@ class SolverService:
     def metrics(self) -> Dict[str, Any]:
         """One observability snapshot of every layer of the service.
 
-        ``highs.window`` is the number of HiGHS calls since the *previous*
-        scrape (the counter-delta convention pull-based collectors expect);
-        ``highs.total`` is monotone over the service's lifetime.
+        A read-only snapshot: ``highs.total`` counts the HiGHS calls of the
+        service's lifetime and, like every other counter here, only grows,
+        so concurrent scrapers never disturb one another and each derives
+        its own rates from successive snapshots.  ``canon`` carries the
+        canonical index's counters, ``discrete`` among them: views that
+        colour refinement alone labelled, with no search.
         """
         engine = self.runner.engine
         with self._metrics_lock:
             total = self._highs.calls
-            window = total - self._highs_last
-            self._highs_last = total
             requests = dict(self._requests)
         payload: Dict[str, Any] = {
             "version": __version__,
@@ -698,7 +699,7 @@ class SolverService:
                 ),
             },
             "canon": dict(engine.canon_index().stats),
-            "highs": {"total": total, "window": window},
+            "highs": {"total": total},
         }
         return payload
 
@@ -708,7 +709,7 @@ class SolverService:
         Combines the global metrics registry (request latency histogram,
         HiGHS call counters, per-source request counters) with the nested
         :meth:`metrics` snapshot, whose numeric leaves flatten to
-        ``repro_``-prefixed gauges.  Note :meth:`metrics` advances the
-        ``highs.window`` scrape delta, exactly as a JSON scrape would.
+        ``repro_``-prefixed gauges.  Rendering reads the same snapshot and,
+        like a JSON scrape, changes no state.
         """
         return render_prometheus(get_registry(), extra=self.metrics())

@@ -21,13 +21,19 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
    exactly the internal-index arrays
    :class:`repro.canon.labeling._Canonicalizer` builds per view — but for
    the whole batch at once;
-4. views are grouped by the byte content of those arrays; each group's
-   *representative* runs through
+4. views are grouped by the byte content of those arrays, and the groups'
+   *representatives* are colour-refined together in one shared sweep.  A
+   representative whose stable colouring is discrete is labelled by that
+   colouring (:mod:`repro.canon.labeling` explains why this is the
+   canonical labelling): all such views are relabelled in one vectorised
+   pass, one ``lexsort`` keyed by ``(view, row, agent)`` orders their
+   coefficient triples, and only the per-view hash and tuple building is
+   left in Python.  Every other representative runs through
    :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form_from_arrays`
-   (one refinement + match/search per distinct literal structure) and every
-   member reuses the representative's position map verbatim — which is
-   precisely what the index's internal structure memo would have computed
-   for the member, so the batch result is bit-identical to calling
+   (match or search per distinct literal structure).  Every member reuses
+   its representative's position map verbatim — which is precisely what
+   the index's internal structure memo would have computed for the
+   member, so the batch result is bit-identical to calling
    :meth:`~repro.canon.labeling.CanonicalIndex.canonical_form` per view.
 
 Full :class:`~repro.core.problem.MaxMinLP` sub-instances are never built
@@ -450,7 +456,45 @@ class ViewAtlas:
     # ------------------------------------------------------------------
     # Batch canonicalisation
     # ------------------------------------------------------------------
-    def _batch_stable_colors(self, rows: List[int]) -> List[np.ndarray]:
+    def _node_counts(
+        self, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Agents, resources and beneficiaries of each view in ``rows``."""
+        P_indptr = self.membership.indptr.astype(np.int64, copy=False)
+        return (
+            P_indptr[rows + 1] - P_indptr[rows],
+            self._res_group_indptr[rows + 1] - self._res_group_indptr[rows],
+            self._ben_group_indptr[rows + 1] - self._ben_group_indptr[rows],
+        )
+
+    def _view_entries(
+        self,
+        rows: np.ndarray,
+        indptr: np.ndarray,
+        packed: np.ndarray,
+        row_shift: np.ndarray,
+        node_start: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The packed coefficient triples of ``rows`` as node ids.
+
+        Returns ``(view, row node, agent node, weight id)`` per entry, in
+        ``(view, internal row, internal agent)`` order; view ``i``'s nodes
+        start at ``node_start[i]`` and its row nodes ``row_shift[i]`` later.
+        """
+        counts = indptr[rows + 1] - indptr[rows]
+        gather = ragged_gather(indptr[rows], counts)
+        view = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        start = node_start[view]
+        return (
+            view,
+            packed[gather, 0] + start + row_shift[view],
+            packed[gather, 1] + start,
+            packed[gather, 2],
+        )
+
+    def _batch_stable_colors(
+        self, rows: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Stable WL colourings of many views, refined in shared arrays.
 
         Runs colour refinement on the disjoint union of the views'
@@ -462,57 +506,36 @@ class ViewAtlas:
         slice returned for a view is exactly what the scalar per-view
         refinement computes — the equality the canonical index relies on
         when these colourings seed its matcher, asserted by the tests.
+
+        Returns ``(colors, offsets)``: view ``rows[i]``'s colouring is
+        ``colors[offsets[i]:offsets[i + 1]]``.
         """
         from ..canon.labeling import _Canonicalizer
 
-        n_views = len(rows)
-        n_a_arr = np.empty(n_views, dtype=np.int64)
-        n_r_arr = np.empty(n_views, dtype=np.int64)
-        n_b_arr = np.empty(n_views, dtype=np.int64)
-        for i, row in enumerate(rows):
-            n_a_arr[i] = self.membership.indptr[row + 1] - self.membership.indptr[row]
-            n_r_arr[i] = self._res_group_indptr[row + 1] - self._res_group_indptr[row]
-            n_b_arr[i] = self._ben_group_indptr[row + 1] - self._ben_group_indptr[row]
-        n_nodes_arr = n_a_arr + n_r_arr + n_b_arr
-        offsets = np.concatenate(([0], np.cumsum(n_nodes_arr)))
+        rows = np.asarray(rows, dtype=np.int64)
+        n_views = rows.size
+        n_a, n_r, n_b = self._node_counts(rows)
+        sizes = np.column_stack((n_a, n_r, n_b))
+        offsets = np.concatenate(([0], np.cumsum(sizes.sum(axis=1))))
         total_nodes = int(offsets[-1])
+        colors = np.repeat(
+            np.tile(np.arange(3, dtype=np.int64), n_views), sizes.ravel()
+        )
+        n_cells = int(np.count_nonzero(sizes))
 
-        node_parts: List[np.ndarray] = []
-        nbr_parts: List[np.ndarray] = []
-        wid_parts: List[np.ndarray] = []
-        nw_parts: List[np.ndarray] = []
-        colors = np.empty(total_nodes, dtype=np.int64)
-        initial_cells = 0
-        for i, row in enumerate(rows):
-            off = offsets[i]
-            n_a, n_r, n_b = int(n_a_arr[i]), int(n_r_arr[i]), int(n_b_arr[i])
-            colors[off: off + n_a] = 0
-            colors[off + n_a: off + n_a + n_r] = 1
-            colors[off + n_a + n_r: off + n_a + n_r + n_b] = 2
-            initial_cells += (n_a > 0) + (n_r > 0) + (n_b > 0)
-            c0, c1 = self._cons_indptr[row], self._cons_indptr[row + 1]
-            b0, b1 = self._ben_indptr[row], self._ben_indptr[row + 1]
-            cons_a = self._cons_packed[c0:c1, 1] + off
-            cons_r = self._cons_packed[c0:c1, 0] + off + n_a
-            ben_a = self._ben_packed[b0:b1, 1] + off
-            ben_k = self._ben_packed[b0:b1, 0] + off + n_a + n_r
-            node_parts += [cons_a, ben_a, cons_r, ben_k]
-            nbr_parts += [cons_r, ben_k, cons_a, ben_a]
-            wids = np.concatenate(
-                (self._cons_packed[c0:c1, 2], self._ben_packed[b0:b1, 2])
-            )
-            wid_parts += [wids, wids]
-            n_weights = max(
-                int(self._w_indptr[row + 1] - self._w_indptr[row]), 1
-            )
-            nw_parts.append(
-                np.full(2 * wids.size, np.int64(n_weights), dtype=np.int64)
-            )
-
-        node = np.concatenate(node_parts) if node_parts else np.empty(0, np.int64)
-        nbr = np.concatenate(nbr_parts) if nbr_parts else np.empty(0, np.int64)
-        wid = np.concatenate(wid_parts) if wid_parts else np.empty(0, np.int64)
-        nw_edge = np.concatenate(nw_parts) if nw_parts else np.empty(0, np.int64)
+        cons_v, cons_r, cons_a, cons_w = self._view_entries(
+            rows, self._cons_indptr, self._cons_packed, n_a, offsets
+        )
+        ben_v, ben_k, ben_a, ben_w = self._view_entries(
+            rows, self._ben_indptr, self._ben_packed, n_a + n_r, offsets
+        )
+        # Signature sums are order-free, so edges of one node may come in
+        # any order: every endpoint direction is concatenated wholesale.
+        node = np.concatenate((cons_a, ben_a, cons_r, ben_k))
+        nbr = np.concatenate((cons_r, ben_k, cons_a, ben_a))
+        wid = np.concatenate((cons_w, ben_w, cons_w, ben_w))
+        n_weights = np.maximum(self._w_indptr[rows + 1] - self._w_indptr[rows], 1)
+        nw_edge = n_weights[np.concatenate((cons_v, ben_v, cons_v, ben_v))]
         order = np.argsort(node, kind="stable")
         node = node[order]
         nbr = nbr[order]
@@ -521,10 +544,9 @@ class ViewAtlas:
         degrees = np.bincount(node, minlength=total_nodes)
         starts = np.concatenate(([0], np.cumsum(degrees)))
         view_of_node = np.repeat(
-            np.arange(n_views, dtype=np.int64), n_nodes_arr
+            np.arange(n_views, dtype=np.int64), np.diff(offsets)
         )
 
-        n_cells = initial_cells
         has_edges = node.size > 0
         while total_nodes:
             if has_edges:
@@ -555,13 +577,80 @@ class ViewAtlas:
             new_colors = np.empty(total_nodes, dtype=np.int64)
             new_colors[order] = cell - first_cell_of_view[sorted_view]
             new_cells = int(cell[-1]) + 1
-            if new_cells == n_cells:
-                colors = new_colors
-                break
             colors = new_colors
+            if new_cells == n_cells:
+                break
             n_cells = new_cells
+        return colors, offsets
+
+    def _discrete_forms(
+        self, rows: np.ndarray, colors: np.ndarray, node_start: np.ndarray
+    ) -> List["CanonicalForm"]:
+        """Forms of views whose stable colouring is discrete, in one pass.
+
+        A discrete colouring *is* the canonical labelling (see
+        :mod:`repro.canon.labeling`).  Every coefficient triple of every
+        view is relabelled by it at once, one ``lexsort`` keyed by ``(view,
+        row, agent)`` puts all views' triples into canonical order, and the
+        identifiers are scattered to their canonical positions; each view's
+        slices then go through the same form helper the canonical index
+        uses, so the result equals its output bit for bit.
+        """
+        from ..canon.labeling import _form_from_canonical
+
+        n_a, n_r, _n_b = self._node_counts(rows)
+
+        def canonical_triples(indptr, packed, row_shift):
+            view, row_node, agent_node, wid = self._view_entries(
+                rows, indptr, packed, row_shift, node_start
+            )
+            row_pos = colors[row_node] - row_shift[view]
+            agent_pos = colors[agent_node]
+            order = np.lexsort((agent_pos, row_pos, view))
+            triples = np.column_stack((row_pos, agent_pos, wid))[order]
+            bounds = np.searchsorted(view, np.arange(rows.size + 1))
+            return triples, bounds.tolist()
+
+        def canonical_ids(group_indptr, ids, labels, shift):
+            counts = group_indptr[rows + 1] - group_indptr[rows]
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            view = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+            internal = np.arange(bounds[-1], dtype=np.int64) - bounds[view]
+            position = colors[node_start[view] + shift[view] + internal]
+            out = np.empty(internal.size, dtype=np.int64)
+            out[bounds[view] + position - shift[view]] = ids[
+                ragged_gather(group_indptr[rows], counts)
+            ]
+            return labels[out], bounds.tolist()
+
+        cons, cons_bounds = canonical_triples(
+            self._cons_indptr, self._cons_packed, n_a
+        )
+        bens, ben_bounds = canonical_triples(
+            self._ben_indptr, self._ben_packed, n_a + n_r
+        )
+        zero = np.zeros(rows.size, dtype=np.int64)
+        agents, agent_bounds = canonical_ids(
+            self.membership.indptr.astype(np.int64, copy=False),
+            self._sorted_cols, self._agents_obj, zero,
+        )
+        resources, res_bounds = canonical_ids(
+            self._res_group_indptr, self._res_group_rows, self._resources_obj, n_a
+        )
+        beneficiaries, ben_id_bounds = canonical_ids(
+            self._ben_group_indptr, self._ben_group_rows, self._bens_obj, n_a + n_r
+        )
+        w_indptr = self._w_indptr
         return [
-            colors[offsets[i]: offsets[i + 1]] for i in range(n_views)
+            _form_from_canonical(
+                agents[agent_bounds[i]: agent_bounds[i + 1]],
+                resources[res_bounds[i]: res_bounds[i + 1]],
+                beneficiaries[ben_id_bounds[i]: ben_id_bounds[i + 1]],
+                self._w_values[w_indptr[row]: w_indptr[row + 1]],
+                cons[cons_bounds[i]: cons_bounds[i + 1]],
+                bens[ben_bounds[i]: ben_bounds[i + 1]],
+            )
+            for i, row in enumerate(rows.tolist())
         ]
 
     def canonical_forms(self, index=None) -> Dict[Agent, "CanonicalForm"]:
@@ -607,13 +696,34 @@ class ViewAtlas:
         forms: List[Optional["CanonicalForm"]] = [None] * n_rows
         agent_positions: List[Optional[np.ndarray]] = [None] * n_rows
         group_rows = list(groups.values())
-        reps = [rows[0] for rows in group_rows]
-        stable_by_rep = dict(zip(reps, self._batch_stable_colors(reps)))
-        for rows in group_rows:
-            rep = rows[0]
-            form, positions = self._canonicalize_row(
-                rep, index, stable=stable_by_rep[rep]
+        reps = np.asarray([rows[0] for rows in group_rows], dtype=np.int64)
+        colors, offsets = self._batch_stable_colors(reps)
+        # A view is discrete when its compact colours reach its node count.
+        n_nodes = np.diff(offsets)
+        discrete = n_nodes == 0
+        if not discrete.all():
+            nonempty = np.flatnonzero(~discrete)
+            top = np.maximum.reduceat(colors, offsets[nonempty])
+            discrete[nonempty] = top + 1 == n_nodes[nonempty]
+        discrete_reps = np.flatnonzero(discrete)
+        discrete_forms = dict(
+            zip(
+                discrete_reps.tolist(),
+                self._discrete_forms(
+                    reps[discrete_reps], colors, offsets[discrete_reps]
+                ),
             )
+        )
+        index.stats["discrete"] += len(discrete_forms)
+        for i, rows in enumerate(group_rows):
+            rep = rows[0]
+            stable = colors[offsets[i]: offsets[i + 1]]
+            if i in discrete_forms:
+                form, positions = discrete_forms[i], stable
+            else:
+                form, positions = self._canonicalize_row(
+                    rep, index, stable=stable
+                )
             n_agents = form.n_agents
             forms[rep] = form
             agent_positions[rep] = positions[:n_agents]
@@ -628,7 +738,7 @@ class ViewAtlas:
                 # stable colouring applies verbatim.
                 for row in rows[1:]:
                     member_form, member_positions = self._canonicalize_row(
-                        row, index, stable=stable_by_rep[rep]
+                        row, index, stable=stable
                     )
                     forms[row] = member_form
                     agent_positions[row] = member_positions[:n_agents]

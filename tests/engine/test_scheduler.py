@@ -238,6 +238,27 @@ class TestSchedulerCoalescing:
         # published and cached — by a cache hit.
         assert scheduler.stats.coalesced + cache.stats.hits == 2
 
+    def test_result_stored_after_a_miss_is_not_solved_again(self):
+        class LateCache(ResultCache):
+            """Another request's owner stores its result, and retires its
+            flight, right after this request's cache miss."""
+
+            def get_with_tier(self, key, default=None):
+                value, tier = super().get_with_tier(key, default)
+                if tier is None:
+                    self.put(key, "answer:u")
+                return value, tier
+
+        scheduler = RequestScheduler(cache=LateCache())
+        solve = _counting_solve()
+        ((payload, source),) = scheduler.run(
+            ["k"], [lambda: "u"], kind="t", solve=solve, details=True
+        )
+        assert solve.calls == []
+        assert (payload, source) == ("answer:u", SOURCE_COALESCED)
+        assert scheduler.stats.executed == 0
+        assert scheduler.stats.coalesced == 1
+
     def test_coalesce_disabled_solves_independently(self):
         scheduler = RequestScheduler(cache=None, coalesce=False)
         release = threading.Event()

@@ -219,6 +219,41 @@ class TestGroupedSimplex:
             assert a.objective == pytest.approx(b.objective, abs=1e-12)
             np.testing.assert_allclose(a.x, b.x, atol=1e-12)
 
+    def test_singular_sibling_basis_runs_cold(self):
+        # Three equal rows make a sibling's optimal basis singular here;
+        # the warm tableau then reported a wrong optimum (found by the
+        # grouped-kernel property test).
+        pattern = np.ones((4, 5))
+        pattern[3, 3] = 0.0
+        lps = [
+            LinearProgram(c=-np.ones(5), A_ub=pattern, b_ub=np.ones(4)),
+            LinearProgram(
+                c=-np.array([0.5, 1.0, 1.0, 1.0, 1.0]),
+                A_ub=np.array(
+                    [
+                        [1.0, 2.0, 2.0, 2.0, 2.0],
+                        [2.0, 2.0, 2.0, 1.0, 2.0],
+                        [2.0, 2.0, 2.0, 2.0, 2.0],
+                        [2.0, 2.0, 2.0, 0.0, 2.0],
+                    ]
+                ),
+                b_ub=np.ones(4),
+            ),
+            LinearProgram(c=-np.ones(5), A_ub=1.9 * pattern, b_ub=np.ones(4)),
+        ]
+        stats = BatchSolveStats()
+        grouped = solve_lp_batch(
+            lps, backend="simplex", strategy="grouped", stats=stats
+        )
+        assert stats.warm_started + stats.warm_rejected == len(lps) - 1
+        for lp, result in zip(lps, grouped):
+            reference = solve_lp(lp, backend="scipy")
+            assert result.status is reference.status
+            assert result.objective == pytest.approx(
+                reference.objective, abs=1e-9
+            )
+            assert lp.is_feasible(result.x, tol=1e-9)
+
     def test_unsupported_shapes_fall_back(self):
         lps = [
             LinearProgram(  # equality constraint: not kernel-shaped

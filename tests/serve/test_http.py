@@ -111,6 +111,7 @@ class TestEndpoints:
         assert metrics["requests"]["scenario"] >= 1
         assert metrics["scenarios"]["scheduler"]["executed"] >= 1
         assert metrics["highs"]["total"] >= 1
+        assert metrics["canon"]["discrete"] >= 0
 
 
 class TestErrorContract:
@@ -231,6 +232,9 @@ class TestObservability:
         assert "# TYPE repro_lp_highs_calls counter" in text
         assert "repro_lp_highs_seconds_bucket{" in text
         assert "repro_requests_scenario" in text  # flattened legacy metrics
+        assert "repro_canon_discrete" in text
+        assert "repro_highs_total" in text
+        assert "repro_highs_window" not in text  # only monotone counters
 
     def test_metrics_unknown_format_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

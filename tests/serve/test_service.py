@@ -189,7 +189,7 @@ class TestObservability:
         assert payload["version"] == __version__
         assert payload["uptime_seconds"] >= 0
 
-    def test_metrics_layers_and_highs_window(self, service):
+    def test_metrics_layers_and_monotone_highs_total(self, service):
         spec = ScenarioSpec(family="cycle", params={"n": 8}, radii=(1,))
         service.solve_scenario_json(spec.to_json())
         first = service.metrics()
@@ -197,15 +197,29 @@ class TestObservability:
         assert first["scenarios"]["scheduler"]["executed"] == 1
         assert first["scenarios"]["cache"]["misses"] == 1
         assert first["engine"]["stats"]["executed"] > 0
+        assert first["highs"] == {"total": first["highs"]["total"]}
         assert first["highs"]["total"] > 0
-        assert first["highs"]["window"] == first["highs"]["total"]
-        # A cache-served replay adds no HiGHS calls: the window resets.
+        # The cycle's views are all isomorphic: none is discrete.
+        assert first["canon"]["discrete"] == 0
+        # Scraping changes nothing: a second scrape reads the same total.
+        assert service.metrics()["highs"] == first["highs"]
+        # A cache-served replay adds no HiGHS calls.
         service.solve_scenario_json(spec.to_json())
         second = service.metrics()
         assert second["highs"]["total"] == first["highs"]["total"]
-        assert second["highs"]["window"] == 0
         assert second["scenarios"]["cache"]["hits"] == 1
         assert math.isfinite(second["uptime_seconds"])
+        # A fresh solve only ever grows the total.
+        other = ScenarioSpec(
+            family="grid",
+            params={"shape": (3, 3), "weights": "random"},
+            seed=3,
+            radii=(1,),
+        )
+        service.solve_scenario_json(other.to_json())
+        third = service.metrics()
+        assert third["highs"]["total"] > second["highs"]["total"]
+        assert third["canon"]["discrete"] > 0
 
     def test_count_error_shows_up_in_requests(self, service):
         service.count_error()

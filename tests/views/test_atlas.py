@@ -130,14 +130,14 @@ class TestBatchCanonicalForms:
         atlas = ViewAtlas.from_problem(problem, 2, hypergraph=H)
         atlas._ensure_structures()
         rows = list(range(atlas.n_views))
-        batch = atlas._batch_stable_colors(rows)
+        colors, offsets = atlas._batch_stable_colors(rows)
         for row, root in enumerate(atlas.roots):
             agents, cons, bens = view_local_structure(problem, H.ball(root, 2))
             canonicalizer, _a, _r, _b = _build_canonicalizer(
                 agents, cons, bens, 2048
             )
             scalar = canonicalizer.refine(canonicalizer.initial_colors())
-            assert np.array_equal(scalar, batch[row])
+            assert np.array_equal(scalar, colors[offsets[row]: offsets[row + 1]])
 
 
 class TestVectorizedAveraging:
