@@ -14,11 +14,11 @@ acceptance criteria:
 * **random 3-regular bipartite** (R=1): locally tree-like, collapsing to
   the few local tree shapes.
 
-The baseline is the engine's non-canonical path (``canonical_local=False``)
-— exactly the pre-canon behaviour: one compiled, fingerprinted and solved
-LP per agent.  Correctness is asserted alongside timing (objectives agree
-to solver tolerance; the orbit path is bit-identical to the canonical
-per-agent path, which the unit tests cover exhaustively).
+The baseline is an engine-free per-agent loop — exactly the pre-canon
+solve count: one literal local LP per agent,
+``solve_max_min(problem.local_subproblem(H.ball(u, R)))``.  Correctness is
+asserted alongside timing (local objectives agree to solver tolerance, and
+the orbit path's output matches golden digests at benchmark scale).
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke variant (smaller instances)
 and ``REPRO_BENCH_OUT=<path>`` to write the measured rows as JSON — the
@@ -35,10 +35,19 @@ import os
 import time
 from pathlib import Path
 
+from hashlib import sha256
+
 import pytest
 
-from repro import BatchSolver, ResultCache, grid_instance, local_averaging_solution
+from repro import (
+    BatchSolver,
+    ResultCache,
+    communication_hypergraph,
+    grid_instance,
+    local_averaging_solution,
+)
 from repro.canon import partition_views
+from repro.lp import solve_max_min
 from repro.scenarios.registry import build_instance
 from repro.scenarios.spec import ScenarioSpec
 
@@ -65,47 +74,49 @@ FAMILIES = {
 }
 
 
+def _per_agent_local_objectives(problem, R):
+    """The pre-canon baseline: one literal local LP solved per agent."""
+    H = communication_hypergraph(problem)
+    return {
+        u: solve_max_min(problem.local_subproblem(H.ball(u, R))).objective
+        for u in problem.agents
+    }
+
+
 @pytest.fixture(scope="session")
 def measurements():
     """One timed (baseline, shared) pair per family; reused by every test."""
     rows = {}
     for label, (problem, R) in FAMILIES.items():
-        baseline_engine = BatchSolver(cache=ResultCache(), canonical_local=False)
         start = time.perf_counter()
-        baseline = local_averaging_solution(problem, R, engine=baseline_engine)
+        baseline = _per_agent_local_objectives(problem, R)
         baseline_seconds = time.perf_counter() - start
 
         shared_engine = BatchSolver(cache=ResultCache())
         start = time.perf_counter()
-        shared = local_averaging_solution(
-            problem, R, engine=shared_engine, share_orbits=True
-        )
+        shared = local_averaging_solution(problem, R, engine=shared_engine)
         shared_seconds = time.perf_counter() - start
 
         # The local LP *values* are unique optima — they must agree across
         # paths to solver precision.  (The solution vectors may differ: a
         # degenerate local LP has many optimal vertices and the canonical
-        # column order picks its own; x̃ then differs too, which is why the
-        # bit-identity guarantee is stated against the canonical per-agent
-        # path, not this legacy baseline.)
+        # column order picks its own.)
         for u in problem.agents:
             assert shared.local_objectives[u] == pytest.approx(
-                baseline.local_objectives[u], abs=1e-7
+                baseline[u], abs=1e-7
             )
         assert problem.is_feasible(problem.to_array(shared.x), tol=1e-7)
-        assert problem.is_feasible(problem.to_array(baseline.x), tol=1e-7)
 
         rows[label] = {
             "family": label,
             "n_agents": problem.n_agents,
             "R": R,
-            "baseline_solves": baseline_engine.stats.executed,
+            "baseline_solves": len(baseline),
             "shared_solves": shared_engine.stats.executed,
             "n_orbits": shared.orbit_stats["n_orbits"],
             "baseline_seconds": round(baseline_seconds, 4),
             "shared_seconds": round(shared_seconds, 4),
             "speedup": round(baseline_seconds / shared_seconds, 2),
-            "baseline_objective": baseline.objective,
             "shared_objective": shared.objective,
         }
     return rows
@@ -155,12 +166,25 @@ def test_orbit_counts_match_partition(measurements):
         assert partition.n_agents == problem.n_agents
 
 
+#: sha256 over (agent, x, local objective, beta) of the grid family's
+#: averaging run, recorded with the per-agent canonical path the orbit
+#: path replaced; keyed by grid shape (quick and full mode).
+GRID_DIGESTS = {
+    (10, 10): "96aecfc5d345a399fb3dd51751a44ee8ccaf8f11a33fa5e69fb9b3585eadbd5a",
+    (16, 16): "f1a302eb07c018a301071c427cd0e1acdd78ffe141459617cee82f8d9073f289",
+}
+
+
 def test_shared_path_bit_identical_on_grid(measurements):
     """Bit-identity spot check at benchmark scale (grid family)."""
     problem, R = FAMILIES["grid"]
-    plain = local_averaging_solution(problem, R, engine=BatchSolver())
-    shared = local_averaging_solution(
-        problem, R, engine=BatchSolver(), share_orbits=True
-    )
-    assert shared.x == plain.x
-    assert shared.local_objectives == plain.local_objectives
+    shared = local_averaging_solution(problem, R, engine=BatchSolver())
+    digest = sha256()
+    for u in problem.agents:
+        digest.update(
+            repr(
+                (u, shared.x[u], shared.local_objectives[u], shared.beta[u])
+            ).encode()
+        )
+    shape = (10, 10) if QUICK else (16, 16)
+    assert digest.hexdigest() == GRID_DIGESTS[shape]

@@ -6,7 +6,7 @@ structure extraction and one canonicalisation per agent.  The
 :mod:`repro.views` pipeline replaces those n-fold loops with batched
 sparse-matrix sweeps.  This benchmark pins the acceptance criteria:
 
-* **end-to-end**: ``local_averaging_solution(share_orbits=True)`` on the
+* **end-to-end**: ``local_averaging_solution`` on the
   30x30 unit torus must be at least **4x** faster through the vectorized
   pipeline than through the scalar reference path
   (``vectorized=False`` -- the pre-PR per-agent pipeline, kept callable
@@ -111,10 +111,10 @@ def test_bit_identical_on_every_registry_family(family):
     )
     problem = build_instance(spec)
     fast = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), share_orbits=True, vectorized=True
+        problem, 1, engine=BatchSolver(), vectorized=True
     )
     slow = local_averaging_solution(
-        problem, 1, engine=BatchSolver(), share_orbits=True, vectorized=False
+        problem, 1, engine=BatchSolver(), vectorized=False
     )
     assert fast.x == slow.x
     assert fast.beta == slow.beta

@@ -15,17 +15,17 @@ This subpackage turns that theorem into a solve-sharing accelerator:
   maps provide the explicit isomorphisms;
 * :mod:`repro.canon.orbits` — :func:`partition_views` groups an instance's
   agents into view-equivalence classes (*orbits*) at a given radius;
-* :mod:`repro.canon.planner` — :func:`orbit_solve_local_lps` submits one
-  canonical LP per orbit through the batch engine and pulls the solved
-  vector back into every member's own vertex names.
+* :mod:`repro.canon.planner` — :func:`orbit_solve` submits one
+  canonical LP per orbit of a partition through the batch engine; every
+  member's solution is the solved vector pulled back into its own vertex
+  names.
 
-The batch engine itself canonicalises every local LP it solves
-(:meth:`repro.engine.BatchSolver.solve_subproblems`), so the planner's fast
-path and the per-agent path hand identical matrices to the LP backend and
-produce bit-identical results; the planner is purely a constant-factor
-accelerator, and its cache entries are shared *across isomorphic
-instances* (a small torus warms the disk cache for the interior of a much
-larger one).
+Every local LP of the reproduction is solved this way — the engine's own
+entry points (:meth:`repro.engine.BatchSolver.solve_local_lps`,
+:meth:`~repro.engine.BatchSolver.solve_subproblems`) also submit one
+canonical LP per orbit — so its cache entries are shared *across
+isomorphic instances* (a small torus warms the disk cache for the interior
+of a much larger one).
 """
 
 from .labeling import (
@@ -38,7 +38,7 @@ from .labeling import (
     view_local_structure,
 )
 from .orbits import OrbitPartition, ViewOrbit, partition_views
-from .planner import OrbitSolveStats, orbit_solve_local_lps, orbit_solve_views
+from .planner import OrbitSolveStats, orbit_solve
 
 __all__ = [
     "CANON_FORMAT_VERSION",
@@ -50,8 +50,7 @@ __all__ = [
     "canonical_view_key",
     "canonicalize_local_lp",
     "canonicalize_problem",
-    "orbit_solve_local_lps",
-    "orbit_solve_views",
+    "orbit_solve",
     "partition_views",
     "view_local_structure",
 ]

@@ -10,8 +10,7 @@ grouping on the canonical keys; the solve planner
 
 On vertex-transitive families the partition is extreme — every agent of a
 unit-weight torus sits in a single orbit — while irregular instances
-degrade gracefully to singleton orbits and the planner's cost converges to
-the per-agent path.
+degrade gracefully to singleton orbits, one LP per agent.
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
 """Orbit-aware solve planning: one local LP per view-equivalence class.
 
-This is the execution half of the canonicalisation subsystem.  Where the
-per-agent path submits one local LP per agent to the batch engine, the
-planner first partitions the agents into view orbits
-(:mod:`repro.canon.orbits`) and submits exactly one *canonical* LP per
-orbit; the solved canonical vector is then pulled back into every member's
-own vertex names through that member's canonical position map.
+This is the execution half of the canonicalisation subsystem.  Given the
+partition of the agents into view orbits (:mod:`repro.canon.orbits`),
+:func:`orbit_solve` submits exactly one *canonical* LP per orbit; the
+solved canonical vector is then pulled back into every member's own vertex
+names through that member's canonical position map.  Every local LP of the
+reproduction is solved this way: the engine's per-view entry point
+(:meth:`repro.engine.BatchSolver.solve_local_lps`) groups its views by
+canonical key the same way before it submits anything.
 
-The result is bit-identical to the per-agent path, by construction rather
-than by luck: since the batch engine also canonicalises every local LP
-before solving (:meth:`repro.engine.BatchSolver.solve_subproblems`), both
-paths hand the *same matrices* to the solver and apply the *same* pull-back
-maps — the planner merely skips compiling (and fingerprinting) one
-sub-instance per agent, which is where its constant-factor win over the
-engine's content-addressed dedup comes from.
+Isomorphic views share their solution by construction, not by luck: they
+have one canonical form, so they hand the solver the *same matrices* and
+differ only in their pull-back maps.  Which member triggers the solve
+therefore never changes a number.
 
 The planner submits its one-LP-per-orbit batch through
 :meth:`~repro.engine.BatchSolver.solve_canonical_local_lps`, so the orbit
@@ -27,15 +26,13 @@ representatives of a batch go to HiGHS as one block-diagonal call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from ..core.problem import Agent, MaxMinLP
 from ..lp.backends import DEFAULT_BACKEND
 from ..obs.metrics import get_registry
-from .labeling import DEFAULT_BRANCH_BUDGET
-from .orbits import OrbitPartition, partition_views
+from .orbits import OrbitPartition
 
-__all__ = ["OrbitSolveStats", "orbit_solve_local_lps", "orbit_solve_views"]
+__all__ = ["OrbitSolveStats", "orbit_solve"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class OrbitSolveStats:
 
 
 def _stats_for(partition: OrbitPartition) -> OrbitSolveStats:
-    """Sharing statistics of one orbit-solve batch (shared by both planners)."""
+    """Sharing statistics of one orbit-solve batch."""
     stats = OrbitSolveStats(
         n_agents=len(partition.forms),
         n_orbits=partition.n_orbits,
@@ -93,123 +90,26 @@ def _stats_for(partition: OrbitPartition) -> OrbitSolveStats:
     return stats
 
 
-def _resolve_partition(
-    problem: MaxMinLP,
-    R: int,
-    *,
-    engine,
-    views=None,
-    atlas=None,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
-    vectorized: bool = True,
-) -> OrbitPartition:
-    """Partition views, reusing the engine's long-lived CanonicalIndex.
-
-    Forms are pure functions of the view, so sharing the index never
-    changes a labeling — it only lets repeated runs (radius sweeps, whole
-    suites) skip re-searching classes they have already canonicalised.  A
-    custom branch budget forces a private index.
-    """
-    index = None
-    if branch_budget == DEFAULT_BRANCH_BUDGET:
-        canon_index = getattr(engine, "canon_index", None)
-        if canon_index is not None:
-            index = canon_index()
-    return partition_views(
-        problem,
-        R,
-        views=views,
-        branch_budget=branch_budget,
-        index=index,
-        atlas=atlas,
-        vectorized=vectorized,
-    )
-
-
-def orbit_solve_views(
-    atlas,
-    R: int,
+def orbit_solve(
+    partition: OrbitPartition,
     *,
     engine=None,
     backend: str = DEFAULT_BACKEND,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
-) -> Tuple[OrbitPartition, Dict[str, "LocalLPOutcome"], OrbitSolveStats]:
-    """One canonical solve per orbit of an atlas, without per-agent dicts.
+) -> Tuple[Dict[str, "LocalLPOutcome"], OrbitSolveStats]:
+    """One canonical solve per orbit of ``partition``.
 
-    The array-level core of the vectorized averaging fast path: returns the
-    orbit partition, the canonical-coordinate outcome of each orbit keyed
-    by its canonical key, and the sharing statistics.  Callers assemble
-    per-agent solutions through
-    :meth:`repro.views.ViewAtlas.local_solution_matrix` (or pull back
-    individual members through their forms, which is exactly what
-    :func:`orbit_solve_local_lps` does).
+    Returns the canonical-coordinate outcome of each orbit keyed by its
+    canonical key, and the sharing statistics.  Callers assemble per-agent
+    solutions through :meth:`repro.views.ViewAtlas.local_solution_matrix`
+    or pull back individual members through their forms.
     """
-    if R < 1:
-        raise ValueError("orbit solve planning requires a radius R >= 1")
     from ..engine.executor import get_default_engine
 
     eng = engine if engine is not None else get_default_engine()
-    partition = _resolve_partition(
-        atlas.problem, R, engine=eng, atlas=atlas, branch_budget=branch_budget
-    )
     canonical = eng.solve_canonical_local_lps(
         [orbit.form for orbit in partition.orbits], backend=backend
     )
     by_key = {
         orbit.key: outcome for orbit, outcome in zip(partition.orbits, canonical)
     }
-    return partition, by_key, _stats_for(partition)
-
-
-def orbit_solve_local_lps(
-    problem: MaxMinLP,
-    views: Mapping[Agent, FrozenSet[Agent]],
-    R: int,
-    *,
-    engine=None,
-    backend: str = DEFAULT_BACKEND,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
-    partition: Optional[OrbitPartition] = None,
-    atlas=None,
-    vectorized: bool = True,
-) -> Tuple[Dict[Agent, "LocalLPOutcome"], OrbitSolveStats]:
-    """Solve every view's local LP, sharing solves across view orbits.
-
-    Returns per-agent outcomes (solution pulled back to the agent's own
-    vertex names, objective of the orbit's canonical LP) plus the sharing
-    statistics.  ``R`` is only used for the partition metadata and the
-    usual non-positive-radius guard; the views themselves drive the solve.
-    ``vectorized`` selects the batch canonicalisation pipeline (identical
-    forms either way); a pre-built atlas short-circuits view extraction.
-    """
-    if R < 1:
-        raise ValueError("orbit solve planning requires a radius R >= 1")
-    from ..engine.executor import LocalLPOutcome, get_default_engine
-
-    eng = engine if engine is not None else get_default_engine()
-    if partition is None:
-        partition = _resolve_partition(
-            problem,
-            R,
-            engine=eng,
-            views=views,
-            atlas=atlas,
-            branch_budget=branch_budget,
-            vectorized=vectorized,
-        )
-
-    canonical = eng.solve_canonical_local_lps(
-        [orbit.form for orbit in partition.orbits], backend=backend
-    )
-    by_key = {
-        orbit.key: outcome for orbit, outcome in zip(partition.orbits, canonical)
-    }
-
-    outcomes: Dict[Agent, LocalLPOutcome] = {}
-    for u in views:
-        form = partition.forms[u]
-        shared = by_key[form.key]
-        outcomes[u] = LocalLPOutcome(
-            x=form.pull_back(shared.x), objective=shared.objective
-        )
-    return outcomes, _stats_for(partition)
+    return by_key, _stats_for(partition)

@@ -37,13 +37,17 @@ The message-passing version that runs on the synchronous simulator is
 :class:`repro.distributed.programs.LocalAveragingProgram` and is checked
 against this implementation in the integration tests.
 
-The solve side of step 1 flows engine → canon → views → **lp.batch**:
-views are canonicalised in batch (:mod:`repro.views`), cache-miss
-canonical representatives compile to sparse Section 1.3 reductions, and
-the engine submits them to :mod:`repro.lp.batch` in deterministic chunks —
-one block-diagonal HiGHS call per chunk under
-``BatchSolver(lp_strategy="stacked")``, a bit-identical per-LP loop under
-the default strategy.
+Step 1 solves one local LP per *view orbit*, never one per agent: agents
+whose radius-``R`` views are isomorphic compute the same local solution
+(Section 5), so every view is canonicalised (:mod:`repro.canon`), one LP
+is solved per distinct canonical form, and the solution is pulled back to
+each member through its canonical position map.  The solve side flows
+engine → canon → views → **lp.batch**: views are canonicalised in batch
+(:mod:`repro.views`), cache-miss orbit representatives compile to sparse
+Section 1.3 reductions, and the engine submits them to
+:mod:`repro.lp.batch` in deterministic chunks — one block-diagonal HiGHS
+call per chunk under ``BatchSolver(lp_strategy="stacked")``, a
+bit-identical per-LP loop under the default strategy.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ from ..exceptions import SolverError
 from ..hypergraph.communication import communication_hypergraph
 from ..hypergraph.hypergraph import Hypergraph
 from ..lp.backends import DEFAULT_BACKEND
+from ..canon.orbits import partition_views
+from ..canon.planner import orbit_solve
 from ..engine.executor import BatchSolver, get_default_engine
 from ..obs.trace import span
 from .problem import Agent, Beneficiary, MaxMinLP, Resource
@@ -99,9 +105,8 @@ class LocalAveragingResult:
         The per-agent local solutions ``x^u`` (only retained when
         ``keep_local_solutions=True`` was passed).
     orbit_stats:
-        Sharing statistics of the ``share_orbits=True`` fast path (see
-        :class:`repro.canon.OrbitSolveStats`); ``None`` on the per-agent
-        path.
+        Sharing statistics of the one-LP-per-orbit solve of step 1 (see
+        :class:`repro.canon.OrbitSolveStats`).
     """
 
     R: int
@@ -130,8 +135,8 @@ def solve_local_lp_batch(
 
     Returns one local solution per view, in input order.  All views travel
     through a single engine submission, so isomorphic views collapse to one
-    solve and a pooled engine fans the distinct ones out concurrently —
-    submitting views one at a time forfeits both.
+    solve per orbit and a pooled engine fans the distinct ones out
+    concurrently — submitting views one at a time forfeits both.
     """
     eng = engine if engine is not None else get_default_engine()
     view_sets = [frozenset(view) for view in views]
@@ -260,8 +265,8 @@ def local_averaging_solution(
     hypergraph: Optional[Hypergraph] = None,
     keep_local_solutions: bool = False,
     engine: Optional[BatchSolver] = None,
-    share_orbits: bool = False,
     vectorized: bool = True,
+    share_orbits: bool = True,
 ) -> LocalAveragingResult:
     """Run the Section 5 local averaging algorithm with radius ``R``.
 
@@ -286,25 +291,21 @@ def local_averaging_solution(
         are independent, so the engine may cache and parallelise them);
         defaults to the process-wide engine of
         :func:`repro.engine.get_default_engine`.  Results are bit-identical
-        across execution modes, worker counts and cache states; the one
-        configuration that may pick different (equally optimal) local LP
-        vertices is the legacy ``BatchSolver(canonical_local=False)`` path,
-        whose solver sees differently ordered matrices.
-    share_orbits:
-        Solve one local LP per *view-equivalence class* instead of one per
-        agent (:mod:`repro.canon`): agents whose radius-``R`` views are
-        isomorphic provably share a local solution, so on symmetric
-        families (tori, grids, regular bipartite structures) the number of
-        distinct solves collapses from ``n`` to the handful of classes.
-        The output is bit-identical to the per-agent path — both paths
-        solve the same canonical LPs and apply the same pull-back maps —
-        and :attr:`LocalAveragingResult.orbit_stats` records the sharing.
+        across execution modes, worker counts and cache states.  One local
+        LP is solved per *view-equivalence class*, not per agent
+        (:mod:`repro.canon`): on symmetric families (tori, grids, regular
+        bipartite structures) the number of distinct solves collapses from
+        ``n`` to the handful of classes, and
+        :attr:`LocalAveragingResult.orbit_stats` records the sharing.
     vectorized:
         Run view extraction, canonicalisation and the Figure 2 set system
         as batched sparse-matrix sweeps (:mod:`repro.views`) instead of
-        per-agent Python loops.  Both implementations produce exactly the
-        same result (asserted by the benchmark suite); the scalar path
-        exists for those equality checks and as the speedup baseline.
+        per-agent Python loops.  Both implementations produce exactly the same
+        result (asserted by the benchmark suite); the scalar path exists
+        for those equality checks and as the speedup baseline.
+    share_orbits:
+        Deprecated and ignored: every run solves one local LP per view
+        orbit.  Accepted only so that existing callers keep working.
     """
     if R < 1:
         raise ValueError("the local averaging algorithm requires R >= 1")
@@ -328,7 +329,6 @@ def local_averaging_solution(
                 eng,
                 backend=backend,
                 keep_local_solutions=keep_local_solutions,
-                share_orbits=share_orbits,
             )
         return _local_averaging_scalar(
             problem,
@@ -337,7 +337,6 @@ def local_averaging_solution(
             eng,
             backend=backend,
             keep_local_solutions=keep_local_solutions,
-            share_orbits=share_orbits,
         )
 
 
@@ -349,7 +348,6 @@ def _local_averaging_vectorized(
     *,
     backend: str,
     keep_local_solutions: bool,
-    share_orbits: bool,
 ) -> LocalAveragingResult:
     """Batched implementation: one sparse sweep per pipeline stage."""
     from ..views.atlas import ViewAtlas
@@ -358,48 +356,21 @@ def _local_averaging_vectorized(
     n_agents = problem.n_agents
     sizes = atlas.view_sizes().astype(np.int64)
 
-    # Step 1: local solutions, as the (n_views x n_agents) matrix X with
-    # X[u, j] = x^u_j.
-    orbit_stats = None
-    if share_orbits:
-        from ..canon.planner import orbit_solve_views
-
-        partition, by_key, stats = orbit_solve_views(
-            atlas, R, engine=eng, backend=backend
-        )
-        orbit_stats = stats.as_dict()
-        x_by_key: Dict[str, np.ndarray] = {}
-        objective_by_key: Dict[str, float] = {}
-        for orbit in partition.orbits:
-            outcome = by_key[orbit.key]
-            vector = np.zeros(orbit.form.n_agents, dtype=np.float64)
-            for position, value in outcome.x.items():
-                vector[position] = value
-            x_by_key[orbit.key] = vector
-            objective_by_key[orbit.key] = outcome.objective
-        X = atlas.local_solution_matrix(x_by_key)
-        forms = partition.forms
-        local_objectives = {
-            u: objective_by_key[forms[u].key] for u in atlas.roots
-        }
-        solutions_getter = None
-    else:
-        outcomes = eng.solve_local_lps(
-            problem, atlas.views(), backend=backend, atlas=atlas
-        )
-        membership = atlas.membership
-        agents_tuple = problem.agents
-        data = np.empty(membership.nnz, dtype=np.float64)
-        indptr, indices = membership.indptr, membership.indices
-        for row, root in enumerate(atlas.roots):
-            x_u = outcomes[root].x
-            for e in range(indptr[row], indptr[row + 1]):
-                data[e] = x_u.get(agents_tuple[indices[e]], 0.0)
-        X = membership.__class__(
-            (data, indices.copy(), indptr), shape=membership.shape
-        )
-        local_objectives = {u: outcomes[u].objective for u in atlas.roots}
-        solutions_getter = outcomes
+    # Step 1: local solutions, one canonical LP per view orbit, as the
+    # (n_views x n_agents) matrix X with X[u, j] = x^u_j.
+    partition = partition_views(problem, R, index=eng.canon_index(), atlas=atlas)
+    by_key, stats = orbit_solve(partition, engine=eng, backend=backend)
+    x_by_key: Dict[str, np.ndarray] = {}
+    for orbit in partition.orbits:
+        vector = np.zeros(orbit.form.n_agents, dtype=np.float64)
+        for position, value in by_key[orbit.key].x.items():
+            vector[position] = value
+        x_by_key[orbit.key] = vector
+    X = atlas.local_solution_matrix(x_by_key)
+    forms = partition.forms
+    local_objectives = {
+        u: by_key[forms[u].key].objective for u in atlas.roots
+    }
 
     # Steps 2-3, vectorized (exact integer set arithmetic, float ops in the
     # same order as the scalar loops).
@@ -438,23 +409,15 @@ def _local_averaging_vectorized(
 
     local_solutions = None
     if keep_local_solutions:
-        if solutions_getter is not None:
-            local_solutions = {
-                u: dict(solutions_getter[u].x) for u in atlas.roots
+        # Each dict in pull-back (canonical position) order, matching the
+        # scalar path exactly.
+        local_solutions = {
+            root: {
+                agent: float(x_by_key[forms[root].key][position])
+                for position, agent in enumerate(forms[root].agent_order)
             }
-        else:
-            forms_map = forms
-            local_solutions = {}
-            for row, root in enumerate(atlas.roots):
-                # Reconstruct each dict in pull-back (canonical position)
-                # order, matching the scalar path exactly.
-                vector = x_by_key[forms_map[root].key]
-                local_solutions[root] = {
-                    agent: float(vector[position])
-                    for position, agent in enumerate(
-                        forms_map[root].agent_order
-                    )
-                }
+            for root in atlas.roots
+        }
 
     objective = problem.objective(x_arr)
     return LocalAveragingResult(
@@ -468,7 +431,7 @@ def _local_averaging_vectorized(
         proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
         local_objectives=local_objectives,
         local_solutions=local_solutions,
-        orbit_stats=orbit_stats,
+        orbit_stats=stats.as_dict(),
     )
 
 
@@ -480,35 +443,30 @@ def _local_averaging_scalar(
     *,
     backend: str,
     keep_local_solutions: bool,
-    share_orbits: bool,
 ) -> LocalAveragingResult:
     """Per-agent reference implementation (the pre-vectorization pipeline).
 
-    One BFS ball, one local-LP canonicalisation and one set-arithmetic pass
-    per agent.  Kept callable so the equality tests and the speedup
+    One BFS ball, one local-LP canonicalisation and one set-arithmetic
+    pass per agent.  Kept callable so the equality tests and the speedup
     benchmarks can compare against it; the step 3 sums run in ascending
     agent-position order, the same order the vectorized path uses.
     """
-    # Step 1: local views and local LP solutions, as one engine batch.
+    # Step 1: local views, one canonicalisation per view, and one
+    # canonical LP per view orbit.
     views: Dict[Agent, FrozenSet[Agent]] = {
         u: H.ball(u, R) for u in problem.agents
     }
-    orbit_stats = None
-    if share_orbits:
-        from ..canon.planner import orbit_solve_local_lps
-
-        outcomes, stats = orbit_solve_local_lps(
-            problem, views, R, engine=eng, backend=backend, vectorized=False
-        )
-        orbit_stats = stats.as_dict()
-    else:
-        outcomes = eng.solve_local_lps(problem, views, backend=backend)
-    local_solutions: Dict[Agent, Dict[Agent, float]] = {
-        u: outcomes[u].x for u in problem.agents
-    }
-    local_objectives: Dict[Agent, float] = {
-        u: outcomes[u].objective for u in problem.agents
-    }
+    partition = partition_views(
+        problem, R, views=views, index=eng.canon_index(), vectorized=False
+    )
+    by_key, stats = orbit_solve(partition, engine=eng, backend=backend)
+    local_solutions: Dict[Agent, Dict[Agent, float]] = {}
+    local_objectives: Dict[Agent, float] = {}
+    for u in problem.agents:
+        form = partition.forms[u]
+        outcome = by_key[form.key]
+        local_solutions[u] = form.pull_back(outcome.x)
+        local_objectives[u] = outcome.objective
 
     view_sizes = {u: len(views[u]) for u in problem.agents}
 
@@ -573,5 +531,5 @@ def _local_averaging_scalar(
         proven_ratio_bound=float(resource_ratio * beneficiary_ratio),
         local_objectives=local_objectives,
         local_solutions=local_solutions if keep_local_solutions else None,
-        orbit_stats=orbit_stats,
+        orbit_stats=stats.as_dict(),
     )

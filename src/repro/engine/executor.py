@@ -5,11 +5,12 @@ solves.  Callers hand it a batch of independent work units — the per-agent
 local LPs of the Section 5 averaging algorithm, or whole-instance exact
 solves from the analysis sweeps — and it
 
-1. **canonicalises and fingerprints** each unit: local LPs are first
-   reduced to their canonical form (:mod:`repro.canon`) so that
-   *isomorphic* subproblems — equal after forgetting vertex names — share
-   one fingerprint, then de-duplicated within the batch (whole-instance
-   exact solves are fingerprinted literally);
+1. **canonicalises and fingerprints** each unit: local LPs are reduced to
+   their canonical form (:mod:`repro.canon`), and only one form per view
+   orbit — per class of *isomorphic* subproblems, equal after forgetting
+   vertex names — is submitted, keyed by its canonical content; the rest
+   of the batch is de-duplicated by fingerprint (whole-instance exact
+   solves are fingerprinted literally);
 2. **consults the cache** (:mod:`repro.engine.cache`) and only keeps the
    units whose fingerprints have never been solved — for canonical local
    LPs the disk tier is therefore shared across isomorphic instances;
@@ -29,14 +30,12 @@ solves from the analysis sweeps — and it
 Execution mode never changes the numbers: results are produced by the same
 backend on the same canonical subproblems in the same deterministic chunks,
 so serial, pooled and cache-warm runs return bit-identical objectives (the
-test suite asserts this).  Two knobs *do* select among equally optimal
-vertices: ``canonical_local`` (the default canonical path and the legacy
-raw path hand the solver differently ordered isomorphic matrices) and
-``lp_strategy`` (the opt-in ``"stacked"`` strategy solves whole chunks in
-one block-diagonal HiGHS call, whose vertex choice on degenerate LPs
-depends on batch composition; the default ``"per-lp"`` is bit-identical to
-the historical per-call engine).  Optimal *values* agree across all of
-them to solver tolerance.
+test suite asserts this).  One knob *does* select among equally optimal
+vertices: ``lp_strategy`` (the opt-in ``"stacked"`` strategy solves whole
+chunks in one block-diagonal HiGHS call, whose vertex choice on degenerate
+LPs depends on batch composition; the default ``"per-lp"`` is
+bit-identical to the historical per-call engine).  Optimal *values* agree
+across both to solver tolerance.
 
 A process-wide default engine (serial, in-memory cache) is available via
 :func:`get_default_engine`; the algorithm entry points use it when no
@@ -91,9 +90,7 @@ from ..obs.trace import Tracer, activate, capture_context, get_tracer, span
 from .cache import ResultCache
 from .fingerprint import (
     fingerprint_canonical_requests,
-    fingerprint_instance,
     fingerprint_request,
-    fingerprint_view_requests,
 )
 from .jobs import RunRegistry
 from .scheduler import RequestScheduler, UnitFailure
@@ -371,7 +368,6 @@ class BatchSolver:
         max_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         registry: Optional[RunRegistry] = None,
-        canonical_local: bool = True,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
         canon_index=None,
@@ -396,7 +392,6 @@ class BatchSolver:
             )
         self.mode = mode
         self.max_workers = max_workers
-        self.canonical_local = canonical_local
         self.lp_strategy = lp_strategy
         self.lp_chunk_size = lp_chunk_size
         self.verify = verify
@@ -853,48 +848,48 @@ class BatchSolver:
     ) -> List[LocalLPOutcome]:
         """Solve a batch of local LPs (paper eq. 9), one per subproblem.
 
-        With ``canonical_local`` (the default) every subproblem is first
-        canonicalised (:mod:`repro.canon`): the solver sees the canonical
-        LP, the cache is keyed by the canonical content key — shared across
-        isomorphic views and isomorphic *instances* — and the solved vector
-        is pulled back into the subproblem's own agent names.  Isomorphic
-        subproblems therefore collapse to one solve even when their
-        identifiers differ, and the numbers are identical whichever member
-        of the class triggered the solve.
+        Every subproblem is canonicalised (:mod:`repro.canon`) and the
+        batch is solved one LP per distinct canonical form
+        (:meth:`_solve_orbits`): isomorphic subproblems collapse to
+        one solve even when their identifiers differ, and the numbers are
+        identical whichever member of the class triggered the solve.
 
         Subproblems with no complete beneficiary support get the all-zero
         solution with objective ``inf``, matching the vacuous local LP.
         """
-        problems = list(subproblems)
-        if self.canonical_local:
-            index = self.canon_index()
-            forms = [index.canonical_form_of_problem(sub) for sub in problems]
-            canonical = self.solve_canonical_local_lps(forms, backend=backend)
-            return [
-                LocalLPOutcome(
-                    x=form.pull_back(outcome.x), objective=outcome.objective
-                )
-                for form, outcome in zip(forms, canonical)
-            ]
-        params = self._request_params(backend)
-        keys = [
-            fingerprint_request(
-                problem, "local_lp", backend=backend, params=params
-            )
-            for problem in problems
-        ]
-        payloads = self._run_requests(
-            keys,
-            [lambda problem=problem: problem for problem in problems],
-            kind="local_lp",
+        index = self.canon_index()
+        return self._solve_orbits(
+            [index.canonical_form_of_problem(sub) for sub in subproblems],
             backend=backend,
         )
+
+    def _solve_orbits(
+        self,
+        forms: Sequence["CanonicalForm"],
+        *,
+        backend: str = DEFAULT_BACKEND,
+    ) -> List[LocalLPOutcome]:
+        """One canonical solve per distinct form, pulled back to every form.
+
+        Forms sharing a canonical key are one view orbit: only the first
+        of each is submitted (:meth:`solve_canonical_local_lps`), and its
+        canonical solution is mapped into every member's own agent names
+        through that member's
+        :meth:`~repro.canon.labeling.CanonicalForm.pull_back`.
+        """
+        first: Dict[str, "CanonicalForm"] = {}
+        for form in forms:
+            first.setdefault(form.key, form)
+        canonical = self.solve_canonical_local_lps(
+            list(first.values()), backend=backend
+        )
+        solved = dict(zip(first, canonical))
         return [
             LocalLPOutcome(
-                x=solution_from_dict(payload["x"]),
-                objective=float(payload["objective"]),
+                x=form.pull_back(solved[form.key].x),
+                objective=solved[form.key].objective,
             )
-            for payload in payloads
+            for form in forms
         ]
 
     def solve_canonical_local_lps(
@@ -912,7 +907,7 @@ class BatchSolver:
         entry, and the stored solution is the canonical LP's vector keyed
         by canonical agent positions.  Callers map it back through
         :meth:`~repro.canon.labeling.CanonicalForm.pull_back`; the orbit
-        planner (:func:`repro.canon.orbit_solve_local_lps`) calls this
+        planner (:func:`repro.canon.orbit_solve`) calls this
         directly with one form per view orbit.
         """
         keys = fingerprint_canonical_requests(
@@ -944,63 +939,24 @@ class BatchSolver:
     ) -> Dict[Agent, LocalLPOutcome]:
         """Solve the local LP of every view ``V^u`` of ``problem``.
 
-        This is step 1 of the Section 5 algorithm as a single batch.  On
-        the canonical path the views run through the batch canonicalisation
-        pipeline (:mod:`repro.views`) — no per-agent sub-instance is ever
-        compiled; only the cache-miss canonical representatives
-        materialise.  A pre-built :class:`~repro.views.ViewAtlas` over the
-        same views may be passed to reuse its extraction work.
-
-        On the legacy literal path (``canonical_local=False``) each
-        request is keyed by the *base* instance fingerprint — hashed once
-        per batch — plus the view's agent set (the whole key batch is
-        rendered from one request template,
-        :func:`repro.engine.fingerprint.fingerprint_view_requests`);
-        subproblems are built lazily, for cache misses only, through the
-        atlas's sliced extraction when one is supplied (identical
-        sub-instances either way — the views property tests assert it).
+        This is step 1 of the Section 5 algorithm as a single batch, one
+        LP per view orbit.  The views run through the batch
+        canonicalisation pipeline (:mod:`repro.views`) — no per-agent
+        sub-instance is ever compiled; only the cache-miss canonical
+        representatives materialise (:meth:`_solve_orbits`).  A
+        pre-built :class:`~repro.views.ViewAtlas` over the same views may be
+        passed to reuse its extraction and canonicalisation work.
         """
-        agents = list(views)
-        if self.canonical_local:
-            from ..views.atlas import ViewAtlas
+        from ..views.atlas import ViewAtlas
 
-            if atlas is None:
-                atlas = ViewAtlas.from_views(problem, views)
-            forms_by_root = atlas.canonical_forms(self.canon_index())
-            forms = [forms_by_root[u] for u in agents]
-            canonical = self.solve_canonical_local_lps(forms, backend=backend)
-            return {
-                u: LocalLPOutcome(
-                    x=form.pull_back(outcome.x), objective=outcome.objective
-                )
-                for u, form, outcome in zip(agents, forms, canonical)
-            }
-        base_fingerprint = fingerprint_instance(problem)
-        keys = fingerprint_view_requests(
-            base_fingerprint,
-            [sorted(map(repr, views[u])) for u in agents],
-            backend=backend,
-            extra_params=self._request_params(backend),
+        if atlas is None:
+            atlas = ViewAtlas.from_views(problem, views)
+        forms = atlas.canonical_forms(self.canon_index())
+        agents = list(views)
+        outcomes = self._solve_orbits(
+            [forms[u] for u in agents], backend=backend
         )
-        if atlas is not None:
-            builders = [lambda u=u: atlas.subproblem(u) for u in agents]
-        else:
-            builders = [
-                lambda u=u: problem.local_subproblem(views[u]) for u in agents
-            ]
-        payloads = self._run_requests(
-            keys,
-            builders,
-            kind="local_lp",
-            backend=backend,
-        )
-        return {
-            u: LocalLPOutcome(
-                x=solution_from_dict(payload["x"]),
-                objective=float(payload["objective"]),
-            )
-            for u, payload in zip(agents, payloads)
-        }
+        return dict(zip(agents, outcomes))
 
     def solve_maxmin(
         self, problem: MaxMinLP, *, backend: str = DEFAULT_BACKEND

@@ -16,7 +16,8 @@ module provides constructive options:
   from a greedy Sidon set; ``Δ``-regular with girth at least 6 for *any*
   degree (the workhorse when ``Δ - 1`` is not prime);
 * :func:`random_regular_bipartite` -- the permutation model (union of
-  ``Δ`` random perfect matchings);
+  ``Δ`` random perfect matchings), with a complement-matching fallback
+  that makes it succeed for every degree;
 * :func:`regular_bipartite_with_girth` -- a searcher that combines the
   above: it picks an explicit construction when one fits and otherwise
   retries the permutation model on growing vertex sets until the girth
@@ -35,6 +36,8 @@ from typing import Optional
 
 import networkx as nx
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..exceptions import ConstructionError
 
@@ -257,7 +260,13 @@ def random_regular_bipartite(
 
     The graph is the union of ``degree`` uniformly random perfect matchings
     between the two sides; attempts producing parallel edges are discarded
-    and retried.
+    and retried.  Such a repeat becomes likely as ``degree`` grows, so once
+    ``max_attempts`` draws have failed the matchings are drawn one at a
+    time instead, each a random perfect matching of the complement of the
+    edges used so far (:func:`_complement_matching`).  After ``m``
+    matchings the used edges form an ``m``-regular bipartite graph whose
+    complement is ``(n_side - m)``-regular, so by König's theorem the next
+    matching always exists and the construction never fails.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -279,19 +288,43 @@ def random_regular_bipartite(
                 edges.add(e)
             if not ok:
                 break
-        if not ok:
-            continue
-        g = nx.Graph()
-        for j in range(n_side):
-            g.add_node(("L", j))
-            g.add_node(("R", j))
-        for a, b in edges:
-            g.add_edge(("L", a), ("R", b))
-        return g
-    raise ConstructionError(
-        f"failed to sample a simple {degree}-regular bipartite graph on "
-        f"{n_side}+{n_side} vertices in {max_attempts} attempts"
-    )
+        if ok:
+            return _bipartite_graph(n_side, edges)
+    used = np.zeros((n_side, n_side), dtype=bool)
+    for _m in range(degree):
+        used[np.arange(n_side), _complement_matching(used, rng)] = True
+    rows, cols = np.nonzero(used)
+    return _bipartite_graph(n_side, zip(rows.tolist(), cols.tolist()))
+
+
+def _complement_matching(used: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random perfect matching avoiding the ``True`` entries of ``used``.
+
+    ``used`` is the ``n × n`` biadjacency of the edges taken so far; the
+    result maps each left vertex to its right partner.  Both sides are
+    shuffled with ``rng`` before the (deterministic) Hopcroft--Karp search,
+    so different generator states give different matchings.
+    """
+    n = used.shape[0]
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    free = sp.csr_matrix(~used[np.ix_(rows, cols)])
+    match = maximum_bipartite_matching(free, perm_type="column")
+    if (match < 0).any():  # pragma: no cover - excluded by König's theorem
+        raise ConstructionError("the complement has no perfect matching")
+    partner = np.empty(n, dtype=np.int64)
+    partner[rows] = cols[match]
+    return partner
+
+
+def _bipartite_graph(n_side: int, edges) -> nx.Graph:
+    """The L/R-tagged graph on ``n_side + n_side`` vertices with ``edges``."""
+    g = nx.Graph()
+    for j in range(n_side):
+        g.add_node(("L", j))
+        g.add_node(("R", j))
+    for a, b in edges:
+        g.add_edge(("L", a), ("R", b))
+    return g
 
 
 def regular_bipartite_with_girth(

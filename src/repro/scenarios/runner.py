@@ -268,6 +268,10 @@ class SuiteReport:
 class SuiteRunner:
     """Execute suites through one shared :class:`~repro.engine.BatchSolver`.
 
+    Every local-averaging solve runs one local LP per view orbit
+    (:mod:`repro.canon`), so symmetric scenario families need only a
+    handful of distinct solves.
+
     Parameters
     ----------
     engine:
@@ -278,11 +282,6 @@ class SuiteRunner:
         not supplied; ``cache`` defaults to a purely in-memory
         :class:`~repro.engine.ResultCache` (pass one with a ``directory``
         for warm re-runs across processes).
-    share_orbits:
-        Run every local-averaging solve through the orbit fast path
-        (:mod:`repro.canon`): one local LP per view-equivalence class
-        instead of one per agent.  Results are bit-identical either way;
-        symmetric scenario families just finish sooner.
     lp_strategy / lp_chunk_size:
         Forwarded to :class:`~repro.engine.BatchSolver` when ``engine`` is
         not supplied: how each batch of cache-miss LPs reaches the solver
@@ -306,7 +305,6 @@ class SuiteRunner:
         max_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         registry: Optional[RunRegistry] = None,
-        share_orbits: bool = False,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
         verify: str = "off",
@@ -322,7 +320,6 @@ class SuiteRunner:
                 verify=verify,
             )
         self.engine = engine
-        self.share_orbits = share_orbits
 
     # ------------------------------------------------------------------
     # Expansion helpers
@@ -413,7 +410,6 @@ class SuiteRunner:
                         backend=spec.backend,
                         hypergraph=hypergraph,
                         engine=self.engine,
-                        share_orbits=self.share_orbits,
                     )
                     radius_results.append(
                         RadiusResult(

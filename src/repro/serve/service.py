@@ -111,9 +111,8 @@ def scenario_request_key(spec: ScenarioSpec, *, lp_strategy: str) -> str:
     already excludes the display label), plus the engine's ``lp_strategy``:
     the ``"stacked"`` path may return different equally-optimal vertices
     than ``"per-lp"``, so results produced under different strategies must
-    never answer each other's requests.  ``share_orbits`` and execution
-    mode are deliberately *not* part of the key -- they are bit-identical
-    accelerations of the same computation.
+    never answer each other's requests.  Execution mode is deliberately
+    *not* part of the key -- serial and pooled runs are bit-identical.
     """
     return fingerprint_data(
         {
@@ -134,7 +133,7 @@ class SolverService:
         A ready :class:`~repro.scenarios.runner.SuiteRunner` to solve cache
         misses with.  When omitted, one is built from the remaining
         parameters.
-    mode / max_workers / lp_strategy / lp_chunk_size / share_orbits:
+    mode / max_workers / lp_strategy / lp_chunk_size:
         Forwarded to the runner's :class:`~repro.engine.BatchSolver` when
         ``runner`` is not supplied.
     cache_dir:
@@ -181,7 +180,6 @@ class SolverService:
         cache_dir: Optional[Union[str, Path]] = None,
         lp_strategy: str = "per-lp",
         lp_chunk_size: int = 64,
-        share_orbits: bool = False,
         max_memory_entries: int = 4096,
         deadline_s: Optional[float] = None,
         max_inflight: Optional[int] = None,
@@ -205,7 +203,6 @@ class SolverService:
                 max_workers=max_workers,
                 cache=engine_cache,
                 registry=RunRegistry(),
-                share_orbits=share_orbits,
                 lp_strategy=lp_strategy,
                 lp_chunk_size=lp_chunk_size,
                 verify=verify,

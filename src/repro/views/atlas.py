@@ -38,8 +38,7 @@ identifiers and rebuilds index arrays per agent inside the canonicaliser.
 
 Full :class:`~repro.core.problem.MaxMinLP` sub-instances are never built
 here; the engine materialises the canonical representative's LP only on a
-cache miss (:meth:`ViewAtlas.subproblem` exists for the legacy literal path
-and for equality tests).
+cache miss (:meth:`ViewAtlas.subproblem` exists for equality tests).
 """
 
 from __future__ import annotations
@@ -385,8 +384,7 @@ class ViewAtlas:
         self._structures_ready = True
 
     # ------------------------------------------------------------------
-    # Per-view structure accessors (scalar equivalents, used by tests and
-    # the legacy literal path)
+    # Per-view structure accessors (scalar equivalents, used by tests)
     # ------------------------------------------------------------------
     def _row_of(self, root: Agent) -> int:
         if self._root_index is None:

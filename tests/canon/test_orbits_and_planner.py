@@ -13,7 +13,7 @@ from repro import (
     local_averaging_solution,
     partition_views,
 )
-from repro.canon import orbit_solve_local_lps
+from repro.canon import orbit_solve
 from repro.generators import cycle_instance
 from repro.hypergraph.communication import communication_hypergraph
 
@@ -63,6 +63,18 @@ class TestPartitionViews:
         ]
 
 
+def _planner_outcomes(problem, views, R, engine):
+    """Per-agent outcomes through partition_views + orbit_solve."""
+    partition = partition_views(problem, R, views=views)
+    by_key, stats = orbit_solve(partition, engine=engine)
+    outcomes = {}
+    for u in views:
+        form = partition.forms[u]
+        solved = by_key[form.key]
+        outcomes[u] = (form.pull_back(solved.x), solved.objective)
+    return outcomes, stats
+
+
 class TestOrbitPlanner:
     @pytest.mark.parametrize(
         "factory",
@@ -76,30 +88,24 @@ class TestOrbitPlanner:
         problem = factory()
         H = communication_hypergraph(problem)
         views = {u: H.ball(u, 2) for u in problem.agents}
-        engine = BatchSolver()
-        direct = engine.solve_local_lps(problem, views)
-        shared, stats = orbit_solve_local_lps(
-            problem, views, 2, engine=BatchSolver()
-        )
+        direct = BatchSolver().solve_local_lps(problem, views)
+        shared, stats = _planner_outcomes(problem, views, 2, BatchSolver())
         assert stats.n_agents == problem.n_agents
         assert stats.n_orbits <= problem.n_agents
         for u in problem.agents:
-            assert shared[u].x == direct[u].x
-            assert shared[u].objective == direct[u].objective
+            assert shared[u] == (direct[u].x, direct[u].objective)
 
     def test_rejects_non_positive_radius(self, cycle8):
-        H = communication_hypergraph(cycle8)
-        views = {u: H.ball(u, 1) for u in cycle8.agents}
-        with pytest.raises(ValueError, match="radius"):
-            orbit_solve_local_lps(cycle8, views, 0)
+        for vectorized in (True, False):
+            with pytest.raises(ValueError, match="R >= 1"):
+                local_averaging_solution(cycle8, 0, vectorized=vectorized)
 
     def test_distinct_solve_count_collapses_on_torus(self):
         problem = grid_instance((8, 8), torus=True)
         engine = BatchSolver(cache=ResultCache())
-        result = local_averaging_solution(
-            problem, 2, engine=engine, share_orbits=True
-        )
+        result = local_averaging_solution(problem, 2, engine=engine)
         assert engine.stats.executed == 1
+        assert engine.stats.units == 1
         assert result.orbit_stats == {
             "n_agents": 64,
             "n_orbits": 1,
@@ -109,55 +115,64 @@ class TestOrbitPlanner:
         }
 
     def test_share_orbits_bit_identical_averaging(self):
+        # The deprecated keyword selects nothing: every run shares orbits.
         for problem, R in [
             (grid_instance((6, 6), torus=True), 2),
             (grid_instance((5, 5)), 1),
             (cycle_instance(12), 2),
         ]:
-            plain = local_averaging_solution(problem, R, engine=BatchSolver())
-            shared = local_averaging_solution(
-                problem, R, engine=BatchSolver(), share_orbits=True
-            )
-            assert shared.x == plain.x
-            assert shared.objective == plain.objective
-            assert shared.local_objectives == plain.local_objectives
-            assert shared.beta == plain.beta
-            assert plain.orbit_stats is None
-            assert shared.orbit_stats is not None
+            default = local_averaging_solution(problem, R, engine=BatchSolver())
+            for share_orbits in (False, True):
+                legacy = local_averaging_solution(
+                    problem, R, engine=BatchSolver(), share_orbits=share_orbits
+                )
+                assert legacy.x == default.x
+                assert legacy.objective == default.objective
+                assert legacy.local_objectives == default.local_objectives
+                assert legacy.beta == default.beta
+                assert legacy.orbit_stats == default.orbit_stats
+            assert default.orbit_stats["n_agents"] == problem.n_agents
 
     def test_share_orbits_on_random_instance(self, random_instance):
-        plain = local_averaging_solution(random_instance, 1, engine=BatchSolver())
-        shared = local_averaging_solution(
-            random_instance, 1, engine=BatchSolver(), share_orbits=True
+        default = local_averaging_solution(
+            random_instance, 1, engine=BatchSolver(), vectorized=False
         )
-        assert shared.x == plain.x
-        assert shared.objective == plain.objective
+        legacy = local_averaging_solution(
+            random_instance,
+            1,
+            engine=BatchSolver(),
+            vectorized=False,
+            share_orbits=False,
+        )
+        assert legacy.x == default.x
+        assert legacy.objective == default.objective
+        assert default.orbit_stats is not None
 
     def test_accepts_view_subsets_like_the_engine_path(self, cycle8):
         # solve_local_lps accepts any view mapping, not just all-agents;
-        # the planner (and partition_views) must mirror that.
+        # partition_views and the planner must mirror that.
         H = communication_hypergraph(cycle8)
         subset = dict(
             (u, H.ball(u, 1)) for u in list(cycle8.agents)[:3]
         )
         direct = BatchSolver().solve_local_lps(cycle8, subset)
-        shared, stats = orbit_solve_local_lps(
-            cycle8, subset, 1, engine=BatchSolver()
-        )
+        shared, stats = _planner_outcomes(cycle8, subset, 1, BatchSolver())
         assert stats.n_agents == 3
-        assert set(shared) == set(subset)
+        assert set(shared) == set(subset) == set(direct)
         for u in subset:
-            assert shared[u].x == direct[u].x
+            assert shared[u] == (direct[u].x, direct[u].objective)
 
     def test_vacuous_views_share_correctly(self):
-        # Single-agent views have no complete beneficiary support: the
-        # planner must pull back all-zero solutions with objective inf.
+        # Single-agent views have no complete beneficiary support: both
+        # paths must pull back all-zero solutions with objective inf.
         problem = cycle_instance(6)
         views = {u: frozenset({u}) for u in problem.agents}
-        outcomes, stats = orbit_solve_local_lps(
-            problem, views, 1, engine=BatchSolver()
-        )
+        engine = BatchSolver(cache=ResultCache())
+        direct = engine.solve_local_lps(problem, views)
+        assert engine.stats.units == engine.stats.executed == 1
+        shared, stats = _planner_outcomes(problem, views, 1, BatchSolver())
         assert stats.n_orbits == 1
         for u in problem.agents:
-            assert outcomes[u].x == {u: 0.0}
-            assert outcomes[u].objective == math.inf
+            assert direct[u].x == {u: 0.0}
+            assert direct[u].objective == math.inf
+            assert shared[u] == (direct[u].x, direct[u].objective)

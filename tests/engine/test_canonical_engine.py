@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import (
     BatchSolver,
     ResultCache,
@@ -50,20 +48,6 @@ class TestCanonicalLocalSolves:
         objectives = {outcome.objective for outcome in outcomes}
         assert len(objectives) == 1
 
-    def test_non_canonical_engine_reproduces_legacy_behaviour(self):
-        problem = grid_instance((4, 4), torus=True)
-        H = communication_hypergraph(problem)
-        subs = [problem.local_subproblem(H.ball(u, 1)) for u in problem.agents]
-        legacy = BatchSolver(canonical_local=False)
-        outcomes = legacy.solve_subproblems(subs)
-        # No canonicalisation: every distinct-identifier subproblem solves.
-        assert legacy.stats.executed == len(subs)
-        canonical = BatchSolver().solve_subproblems(subs)
-        for legacy_out, canon_out in zip(outcomes, canonical):
-            assert legacy_out.objective == pytest.approx(
-                canon_out.objective, abs=1e-9
-            )
-
     def test_pull_back_keys_match_subproblem_agents(self, grid4x4):
         H = communication_hypergraph(grid4x4)
         view = H.ball(grid4x4.agents[0], 1)
@@ -101,12 +85,19 @@ class TestCanonicalLocalSolves:
         assert engine_large.stats.executed == 0
         assert engine_large.cache.stats.disk_hits >= 1
 
-    def test_share_orbits_and_engine_path_share_cache_entries(self):
+    def test_entry_points_share_cache_entries(self):
         problem = grid_instance((5, 5), torus=True)
-        cache = ResultCache()
-        engine = BatchSolver(cache=cache)
-        local_averaging_solution(problem, 1, engine=engine, share_orbits=True)
-        executed_after_orbit_run = engine.stats.executed
-        local_averaging_solution(problem, 1, engine=engine, share_orbits=False)
-        # The per-agent path found every canonical LP already cached.
-        assert engine.stats.executed == executed_after_orbit_run
+        H = communication_hypergraph(problem)
+        views = {u: H.ball(u, 1) for u in problem.agents}
+        engine = BatchSolver(cache=ResultCache())
+        averaged = local_averaging_solution(problem, 1, engine=engine)
+        executed_after_averaging = engine.stats.executed
+        direct = engine.solve_local_lps(problem, views)
+        subs = engine.solve_subproblems(
+            [problem.local_subproblem(views[u]) for u in problem.agents]
+        )
+        # Both engine entry points found every canonical LP already cached.
+        assert engine.stats.executed == executed_after_averaging
+        for u, sub in zip(problem.agents, subs):
+            assert direct[u].objective == averaged.local_objectives[u]
+            assert sub.objective == averaged.local_objectives[u]

@@ -91,12 +91,14 @@ class TestDeduplication:
     def test_identical_views_collapse_to_one_solve(self):
         # R >= diameter: every agent's ball is the whole vertex set, so all
         # canonical local subproblems are the same problem.
+        # They form one view orbit, so one unit reaches the engine.
         problem = cycle_instance(8)
         engine = serial_engine()
-        local_averaging_solution(problem, 6, engine=engine)
-        assert engine.stats.units == 8
+        result = local_averaging_solution(problem, 6, engine=engine)
+        assert result.orbit_stats["n_orbits"] == 1
+        assert result.orbit_stats["shared"] == 7
+        assert engine.stats.units == 1
         assert engine.stats.executed == 1
-        assert engine.stats.dedup_saved == 7
 
     def test_vacuous_local_lp_is_all_zero_with_inf_objective(self, cycle8):
         # R = 1 on a cycle leaves some beneficiary supports incomplete only

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from hashlib import sha256
 
 import networkx as nx
 import pytest
@@ -93,6 +94,39 @@ class TestRandomConstruction:
     def test_degree_larger_than_side_rejected(self):
         with pytest.raises(ConstructionError):
             random_regular_bipartite(2, 3)
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_high_degree_succeeds_for_every_seed(self, degree):
+        # Rejection sampling fails for degree 5 at every one of these seeds
+        # (and degree 4 at seeds 0, 2, 4); the complement-matching fallback
+        # still yields a simple regular graph, reproducibly.
+        for seed in range(6):
+            g = random_regular_bipartite(16, degree, seed=seed)
+            assert is_regular_bipartite(g, degree)
+            assert g.number_of_edges() == 16 * degree
+            again = random_regular_bipartite(16, degree, seed=seed)
+            assert list(g.edges) == list(again.edges)
+
+    def test_fallback_alone_builds_regular_graphs(self):
+        for n_side, degree in [(12, 4), (6, 6), (9, 1)]:
+            g = random_regular_bipartite(n_side, degree, seed=2, max_attempts=0)
+            assert is_regular_bipartite(g, degree)
+            assert g.number_of_edges() == n_side * degree
+
+    @pytest.mark.parametrize(
+        "n_side,degree,seed,digest",
+        [
+            (16, 3, 0, "f914b8bc32d436721f755eca2a85fe8c576931508c7711f0881084b91c9bb7d0"),
+            (16, 4, 1, "c54b19c289a6cb45847f1056d2a3412618c3327f317bf2171fc580a6bf280d89"),
+            (16, 4, 5, "de22db05087b91d2579beb739955c59e5f3a6a6ea8ddfdb5e8ea99fcdd9d922d"),
+            (8, 3, 0, "5e7cb67ea635768a832042bec13b9a2643bf632e639481ae00537bea1c92da03"),
+        ],
+    )
+    def test_rejection_sampled_graphs_unchanged(self, n_side, degree, seed, digest):
+        # Digests recorded before the fallback existed: a seed whose
+        # rejection sampling succeeds keeps its exact graph.
+        g = random_regular_bipartite(n_side, degree, seed=seed)
+        assert sha256(repr(list(g.edges)).encode()).hexdigest() == digest
 
 
 class TestGirthSearcher:

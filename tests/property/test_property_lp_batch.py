@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.engine.fingerprint import (
-    fingerprint_request,
-    fingerprint_view_requests,
+    fingerprint_canonical_request,
+    fingerprint_canonical_requests,
 )
 from repro.lp import (
     LinearProgram,
@@ -175,31 +175,21 @@ _ID_CHARS = st.text(
 
 class TestBatchFingerprints:
     @given(
-        views=st.lists(
-            st.lists(_ID_CHARS, min_size=0, max_size=5).map(sorted),
-            min_size=0,
-            max_size=6,
-        ),
+        keys=st.lists(_ID_CHARS, min_size=0, max_size=6),
         backend=st.sampled_from(["scipy", "simplex"]),
         strategy=st.sampled_from([None, "stacked", "grouped", "auto"]),
     )
     @settings(**COMMON_SETTINGS)
-    def test_view_request_template_equals_per_unit(
-        self, views, backend, strategy
+    def test_canonical_keys_equal_per_unit(
+        self, keys, backend, strategy
     ):
-        instance_fp = "f" * 64
-        extra = None if strategy is None else {"lp_strategy": strategy}
-        batched = fingerprint_view_requests(
-            instance_fp, views, backend=backend, extra_params=extra
+        params = None if strategy is None else {"lp_strategy": strategy}
+        batched = fingerprint_canonical_requests(
+            keys, backend=backend, params=params
         )
         reference = [
-            fingerprint_request(
-                None,
-                "local_lp_view",
-                backend=backend,
-                params={**(extra or {}), "view": list(view)},
-                instance_fingerprint=instance_fp,
-            )
-            for view in views
+            fingerprint_canonical_request(key, backend=backend, params=params)
+            for key in keys
         ]
         assert batched == reference
+

@@ -10,6 +10,7 @@ from repro.scenarios import (
     ScenarioSpec,
     build_instance,
     describe_families,
+    get_suite,
     family_schema,
     get_family,
     list_families,
@@ -143,3 +144,11 @@ class TestBipartiteLifting:
         bounds = problem.degree_bounds()
         assert bounds.max_resource_support == 3
         assert bounds.max_beneficiary_support == 3
+
+
+class TestBuiltinSuites:
+    @pytest.mark.parametrize("suite", ["paper", "stress"])
+    def test_every_expanded_point_builds(self, suite):
+        for spec in get_suite(suite).expand():
+            problem = build_instance(spec)
+            assert problem.n_agents > 0, spec.display_label

@@ -246,18 +246,6 @@ class TestSuiteShareOrbits:
         )
         return suite_file
 
-    def test_share_orbits_matches_default_run(self, capsys, tmp_path):
-        suite_file = self._suite_file(tmp_path)
-        base_args = ["suite", "run", str(suite_file), "--no-cache-dir"]
-        assert main(base_args) == 0
-        plain_out = capsys.readouterr().out
-        assert main(base_args + ["--share-orbits"]) == 0
-        orbit_out = capsys.readouterr().out
-        table = lambda text: [
-            line for line in text.splitlines() if line.startswith(" torus")
-        ]
-        assert table(plain_out) == table(orbit_out)
-
     def test_mode_and_max_workers_are_plumbed(self, capsys, tmp_path):
         suite_file = self._suite_file(tmp_path)
         assert (
@@ -271,7 +259,6 @@ class TestSuiteShareOrbits:
                     "thread",
                     "--max-workers",
                     "2",
-                    "--share-orbits",
                 ]
             )
             == 0

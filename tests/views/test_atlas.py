@@ -142,22 +142,24 @@ class TestBatchCanonicalForms:
 
 class TestVectorizedAveraging:
     @pytest.mark.parametrize("problem,R", FAMILIES)
-    @pytest.mark.parametrize("share_orbits", [False, True])
-    def test_bit_identical_to_scalar_path(self, problem, R, share_orbits):
+    @pytest.mark.parametrize("keep_local_solutions", [False, True])
+    def test_bit_identical_to_scalar_path(self, problem, R, keep_local_solutions):
         fast = local_averaging_solution(
             problem,
             R,
             engine=BatchSolver(),
-            share_orbits=share_orbits,
+            keep_local_solutions=keep_local_solutions,
             vectorized=True,
         )
         slow = local_averaging_solution(
             problem,
             R,
             engine=BatchSolver(),
-            share_orbits=share_orbits,
+            keep_local_solutions=keep_local_solutions,
             vectorized=False,
         )
+        assert fast.local_solutions == slow.local_solutions
+        assert fast.orbit_stats == slow.orbit_stats
         assert fast.x == slow.x
         assert fast.beta == slow.beta
         assert fast.objective == slow.objective
@@ -173,7 +175,6 @@ class TestVectorizedAveraging:
             problem,
             2,
             engine=BatchSolver(),
-            share_orbits=True,
             vectorized=True,
             keep_local_solutions=True,
         )
@@ -181,7 +182,6 @@ class TestVectorizedAveraging:
             problem,
             2,
             engine=BatchSolver(),
-            share_orbits=True,
             vectorized=False,
             keep_local_solutions=True,
         )
